@@ -39,10 +39,14 @@ void Dac::write_volts(double v) {
 
 double Dac::output(double dt, double temp_c) {
   // One-pole settling toward the latched target, plus a decaying glitch.
-  const double alpha = 1.0 - std::exp(-dt / cfg_.settle_tau_s);
-  out_ += alpha * (target_ - out_);
+  if (dt != step_dt_) {
+    step_dt_ = dt;
+    settle_alpha_ = 1.0 - std::exp(-dt / cfg_.settle_tau_s);
+    glitch_decay_ = std::exp(-dt / (cfg_.settle_tau_s * 0.25));
+  }
+  out_ += settle_alpha_ * (target_ - out_);
   const double g = glitch_;
-  glitch_ *= std::exp(-dt / (cfg_.settle_tau_s * 0.25));
+  glitch_ *= glitch_decay_;
   return out_ + g + cfg_.offset_drift * (temp_c - 25.0);
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
 
@@ -61,6 +62,11 @@ class Dac {
   double target_ = 0.0;
   double out_ = 0.0;
   double glitch_ = 0.0;
+  // Settling factors of the last output() step size; callers pass a fixed
+  // dt, so the two exp() are taken once instead of on every call.
+  double step_dt_ = std::numeric_limits<double>::quiet_NaN();
+  double settle_alpha_ = 0.0;
+  double glitch_decay_ = 0.0;
 };
 
 }  // namespace ascp::afe

@@ -33,7 +33,11 @@ NoiseSource::NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng)
       has_flicker_(spec.flicker_corner_hz > 0.0) {}
 
 double NoiseSource::sample(double temp_c) {
-  double n = rng_.gaussian(sigma_white_) * thermal_noise_scale(temp_c);
+  if (temp_c != scale_temp_c_) {
+    scale_temp_c_ = temp_c;
+    thermal_scale_ = thermal_noise_scale(temp_c);
+  }
+  double n = rng_.gaussian(sigma_white_) * thermal_scale_;
   if (has_flicker_) n += flicker_.next();
   return n;
 }

@@ -7,6 +7,8 @@
 // corner frequency — the way an analog datasheet specifies it.
 #pragma once
 
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace ascp::afe {
@@ -40,6 +42,10 @@ class NoiseSource {
   ascp::Rng rng_;
   ascp::FlickerNoise flicker_;
   bool has_flicker_;
+  // thermal_noise_scale() of the last temperature seen; temperature moves
+  // far slower than the sample rate, so the sqrt is taken only on a change.
+  double scale_temp_c_ = std::numeric_limits<double>::quiet_NaN();
+  double thermal_scale_ = 1.0;
 };
 
 /// Thermal scaling factor √(T/T0) with T in kelvin, T0 = 298.15 K.

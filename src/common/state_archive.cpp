@@ -97,6 +97,13 @@ void StateArchive::bytes(std::uint8_t* p, std::size_t n) {
     get(p, n);
 }
 
+void StateArchive::fill(std::uint8_t byte, std::size_t n) {
+  if (!saving_) throw std::logic_error("StateArchive::fill is save-only");
+  out_.insert(out_.end(), n, byte);
+  pos_ += n;
+  size_ = out_.size();
+}
+
 void StateArchive::value(std::vector<std::uint8_t>& v) {
   std::uint64_t n = v.size();
   value(n);

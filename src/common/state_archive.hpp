@@ -66,6 +66,10 @@ class StateArchive {
 
   // --- raw buffers (bulk copy; for code/data memories) ------------------
   void bytes(std::uint8_t* p, std::size_t n);
+  /// Save mode only: append `n` copies of `byte` — how a memory that is
+  /// allocated on first use writes its untouched contents without
+  /// materialising them. The loader reads those bytes back as usual.
+  void fill(std::uint8_t byte, std::size_t n);
 
   // --- containers -------------------------------------------------------
   void value(std::vector<std::uint8_t>& v);

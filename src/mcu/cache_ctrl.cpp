@@ -1,5 +1,6 @@
 #include "mcu/cache_ctrl.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -7,7 +8,6 @@ namespace ascp::mcu {
 
 CacheController::CacheController(const CacheConfig& cfg)
     : cfg_(cfg),
-      external_(cfg.external_bytes, 0xFF),
       data_(static_cast<std::size_t>(cfg.lines) * cfg.line_bytes, 0),
       tags_(static_cast<std::size_t>(cfg.lines), -1) {
   assert((cfg.lines & (cfg.lines - 1)) == 0);
@@ -18,10 +18,34 @@ bool CacheController::owns(std::uint8_t addr) const {
   return addr >= cfg_.sfr_base && addr < cfg_.sfr_base + 5;
 }
 
+std::size_t CacheController::external_size() const {
+  return external_.empty() ? cfg_.external_bytes : external_.size();
+}
+
+std::vector<std::uint8_t>& CacheController::external() {
+  if (external_.empty()) external_.assign(cfg_.external_bytes, kErasedByte);
+  return external_;
+}
+
+void CacheController::serialize_external(StateArchive& ar) {
+  if (ar.saving() && external_.empty()) {
+    // Same bytes as value() of the erased buffer: u64 length, then contents.
+    std::uint64_t n = cfg_.external_bytes;
+    ar.value(n);
+    ar.fill(kErasedByte, cfg_.external_bytes);
+    return;
+  }
+  ar.value(external_);
+  if (!ar.saving() && external_.size() == cfg_.external_bytes &&
+      std::all_of(external_.begin(), external_.end(),
+                  [](std::uint8_t b) { return b == kErasedByte; }))
+    std::vector<std::uint8_t>().swap(external_);
+}
+
 std::uint32_t CacheController::address() const {
   return (static_cast<std::uint32_t>(bank_) << 16 | static_cast<std::uint32_t>(ahi_) << 8 |
           alo_) %
-         static_cast<std::uint32_t>(external_.size());
+         static_cast<std::uint32_t>(external_size());
 }
 
 void CacheController::post_increment() {
@@ -42,8 +66,11 @@ std::uint8_t* CacheController::lookup(std::uint32_t addr) {
     last_missed_ = true;
     ++misses_;
     // Fill over the 2-wire link (write-through cache: no dirty write-back).
-    std::memcpy(line, &external_[static_cast<std::size_t>(line_addr) * cfg_.line_bytes],
-                static_cast<std::size_t>(cfg_.line_bytes));
+    if (external_.empty())
+      std::memset(line, kErasedByte, static_cast<std::size_t>(cfg_.line_bytes));
+    else
+      std::memcpy(line, &external_[static_cast<std::size_t>(line_addr) * cfg_.line_bytes],
+                  static_cast<std::size_t>(cfg_.line_bytes));
     tags_[index] = tag;
   }
   return &line[addr % cfg_.line_bytes];
@@ -72,7 +99,7 @@ void CacheController::write(std::uint8_t addr, std::uint8_t value) {
     case 3: {
       const std::uint32_t a = address();
       *lookup(a) = value;
-      external_[a] = value;  // write-through over the 2-wire link
+      external()[a] = value;  // write-through over the 2-wire link
       post_increment();
       break;
     }
@@ -85,14 +112,14 @@ void CacheController::write(std::uint8_t addr, std::uint8_t value) {
 }
 
 void CacheController::load(std::uint32_t addr, const std::vector<std::uint8_t>& data) {
-  for (std::size_t i = 0; i < data.size(); ++i)
-    external_[(addr + i) % external_.size()] = data[i];
+  std::vector<std::uint8_t>& ext = external();
+  for (std::size_t i = 0; i < data.size(); ++i) ext[(addr + i) % ext.size()] = data[i];
   // Backing store changed behind the cache: invalidate.
   std::fill(tags_.begin(), tags_.end(), -1);
 }
 
 std::uint8_t CacheController::peek(std::uint32_t addr) const {
-  return external_[addr % external_.size()];
+  return external_.empty() ? kErasedByte : external_[addr % external_.size()];
 }
 
 }  // namespace ascp::mcu

@@ -32,6 +32,9 @@ struct CacheConfig {
 
 class CacheController : public SfrDevice {
  public:
+  /// Contents of never-written external memory (erased flash/EEPROM).
+  static constexpr std::uint8_t kErasedByte = 0xFF;
+
   explicit CacheController(const CacheConfig& cfg = {});
 
   // ---- SfrDevice -----------------------------------------------------------
@@ -53,7 +56,7 @@ class CacheController : public SfrDevice {
   const CacheConfig& config() const { return cfg_; }
 
   void serialize_state(StateArchive& ar) {
-    ar.value(external_);
+    serialize_external(ar);
     ar.value(data_);
     for (auto& t : tags_) ar.value(t);
     ar.value(bank_);
@@ -71,8 +74,13 @@ class CacheController : public SfrDevice {
   std::uint32_t address() const;
   void post_increment();
   std::uint8_t* lookup(std::uint32_t addr);  ///< cached byte (fills on miss)
+  std::size_t external_size() const;
+  std::vector<std::uint8_t>& external();     ///< allocates on first use
+  void serialize_external(StateArchive& ar);
 
   CacheConfig cfg_;
+  /// Backing store, empty until the first write or load: most platforms
+  /// never touch it, and an erased 128 KiB buffer per channel is pure RSS.
   std::vector<std::uint8_t> external_;
   std::vector<std::uint8_t> data_;   ///< lines × line_bytes
   std::vector<std::int64_t> tags_;   ///< -1 = invalid

@@ -1,8 +1,19 @@
 #include "mcu/sram_ctrl.hpp"
 
+#include <algorithm>
+
 namespace ascp::mcu {
 
-SramController::SramController() : mem_(kSamples, 0) {}
+void SramController::serialize_mem(StateArchive& ar) {
+  if (ar.saving() && mem_.empty()) {
+    ar.fill(0, kSamples * sizeof(std::uint16_t));  // kSamples zero words
+    return;
+  }
+  mem_.resize(kSamples);
+  for (auto& w : mem_) ar.value(w);
+  if (!ar.saving() && std::all_of(mem_.begin(), mem_.end(), [](std::uint16_t w) { return w == 0; }))
+    std::vector<std::uint16_t>().swap(mem_);
+}
 
 std::uint16_t SramController::read_reg(std::uint16_t reg) {
   switch (reg) {
@@ -11,7 +22,7 @@ std::uint16_t SramController::read_reg(std::uint16_t reg) {
     case 3: return static_cast<std::uint16_t>(count_ > 0xFFFF ? 0xFFFF : count_);
     case 4: return static_cast<std::uint16_t>(rdptr_);
     case 5: {
-      const std::uint16_t v = mem_[rdptr_ % kSamples];
+      const std::uint16_t v = mem_.empty() ? 0 : mem_[rdptr_ % kSamples];
       rdptr_ = (rdptr_ + 1) % kSamples;
       return v;
     }
@@ -43,12 +54,14 @@ bool SramController::push(std::uint16_t node, std::uint16_t sample) {
     armed_ = false;  // capture complete
     return false;
   }
+  if (mem_.empty()) mem_.assign(kSamples, 0);
   mem_[count_++] = sample;
   if (count_ >= kSamples) armed_ = false;
   return true;
 }
 
 std::vector<std::uint16_t> SramController::snapshot() const {
+  if (mem_.empty()) return std::vector<std::uint16_t>(count_, 0);
   return std::vector<std::uint16_t>(mem_.begin(), mem_.begin() + count_);
 }
 

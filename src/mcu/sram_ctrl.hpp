@@ -28,8 +28,6 @@ class SramController : public BridgeDevice {
  public:
   static constexpr std::size_t kSamples = 32768;  // 512 Kbit of 16-bit words
 
-  SramController();
-
   std::uint16_t read_reg(std::uint16_t reg) override;
   void write_reg(std::uint16_t reg, std::uint16_t value) override;
 
@@ -47,7 +45,7 @@ class SramController : public BridgeDevice {
   std::vector<std::uint16_t> snapshot() const;
 
   void serialize_state(StateArchive& ar) {
-    for (auto& w : mem_) ar.value(w);
+    serialize_mem(ar);
     ar.value(count_);
     ar.value(rdptr_);
     ar.value(node_);
@@ -57,6 +55,10 @@ class SramController : public BridgeDevice {
   }
 
  private:
+  void serialize_mem(StateArchive& ar);
+
+  /// Capture memory, empty (reads as zero) until the first stored sample:
+  /// most platforms never arm a capture, and 64 KiB per channel is pure RSS.
   std::vector<std::uint16_t> mem_;
   std::uint32_t count_ = 0;
   std::uint32_t rdptr_ = 0;

@@ -15,12 +15,23 @@ void Scheduler::every(long divider, long phase, Task task, std::string name) {
   if (divider < 1) throw std::invalid_argument("scheduler divider must be >= 1");
   if (phase < 0 || phase >= divider)
     throw std::invalid_argument("scheduler phase must be in [0, divider)");
-  Entry e{divider, phase, std::move(task), std::move(name), -1, 1, 0};
+  Entry e{divider, phase, first_due(divider, phase), std::move(task), std::move(name), -1, 1, 0};
   if (profiler_) {
     e.profile_id = profiler_->register_task(e.name, divider, phase);
     e.sample_stride = entry_stride(e);
   }
   entries_.push_back(std::move(e));
+}
+
+long Scheduler::first_due(long divider, long phase) const {
+  const long r = ticks_ % divider;
+  return ticks_ - r + phase + (r > phase ? divider : 0);
+}
+
+void Scheduler::set_ticks(long ticks) {
+  if (ticks < 0) throw std::invalid_argument("scheduler ticks must be >= 0");
+  ticks_ = ticks;
+  for (Entry& e : entries_) e.next_due = first_due(e.divider, e.phase);
 }
 
 long Scheduler::entry_stride(const Entry& e) const {
@@ -54,7 +65,8 @@ void Scheduler::tick() {
   if (profiler_) {
     using clock = std::chrono::steady_clock;
     for (Entry& e : entries_) {
-      if (ticks_ % e.divider != e.phase) continue;
+      if (e.next_due != ticks_) continue;
+      e.next_due += e.divider;
       if (e.fired++ % e.sample_stride == 0) {
         const auto t0 = clock::now();
         e.task();
@@ -67,8 +79,11 @@ void Scheduler::tick() {
       }
     }
   } else {
-    for (Entry& e : entries_)
-      if (ticks_ % e.divider == e.phase) e.task();
+    for (Entry& e : entries_) {
+      if (e.next_due != ticks_) continue;
+      e.next_due += e.divider;
+      e.task();
+    }
   }
   ++ticks_;
 }

@@ -51,10 +51,10 @@ class Scheduler {
   long ticks() const { return ticks_; }
   double now() const { return static_cast<double>(ticks_) / base_rate_; }
 
-  /// Checkpoint restore: reposition the tick counter so task phases resume
-  /// where the saved run left off. Only meaningful for persistent schedulers
-  /// (the analog baselines); per-run schedulers are rebuilt instead.
-  void set_ticks(long ticks) { ticks_ = ticks; }
+  /// Checkpoint restore: reposition the tick counter (>= 0) so task phases
+  /// resume where the saved run left off. Only meaningful for persistent
+  /// schedulers (the analog baselines); per-run schedulers are rebuilt instead.
+  void set_ticks(long ticks);
 
   /// Attach a task profiler (null detaches). Already-registered and future
   /// tasks are registered with it; while attached, tick() counts every task
@@ -77,6 +77,7 @@ class Scheduler {
   struct Entry {
     long divider;
     long phase;
+    long next_due;  ///< next tick with tick % divider == phase
     Task task;
     std::string name;
     int profile_id = -1;
@@ -85,6 +86,8 @@ class Scheduler {
   };
 
   long entry_stride(const Entry& e) const;
+  /// First tick >= ticks() at which a (divider, phase) entry fires.
+  long first_due(long divider, long phase) const;
 
   double base_rate_;
   long ticks_ = 0;

@@ -15,6 +15,8 @@
 // and compensation stages exist to fight.
 #pragma once
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace ascp::sensor {
@@ -126,11 +128,18 @@ class GyroMems {
   };
   struct Params {  ///< temperature-resolved coefficients for one step
     double w0d2, w0s2, dd, ds, fpv, kq, kappa_omega;
+    double noise_sigma;  ///< Brownian force sigma at this temperature
+    double cap_k;        ///< pickoff gain ΔC/Δx at this temperature
   };
 
   static State derivative(const State& s, const Params& p, double fd, double fc, double noise);
-  Params resolve(const GyroInputs& in) const;
-  double pickoff_cap(double displacement, double temp_c) const;
+  /// Temperature-dependent coefficients (kappa_omega left zero: the rate
+  /// term is cheap and may change every step).
+  Params resolve(double temp_c) const;
+  /// resolve() for this temperature, recomputed only when the temperature
+  /// or the quadrature fault differ from the last call.
+  const Params& params_for(double temp_c);
+  double pickoff_cap(double displacement, double cap_k) const;
 
   GyroMemsConfig cfg_;
   State s_;
@@ -140,6 +149,11 @@ class GyroMems {
   DriveElectrodeFault drive_fault_ = DriveElectrodeFault::None;
   double stuck_v_ = 0.0;
   double quad_step_ = 0.0;
+  // params_for() cache, keyed on the bit patterns of its inputs. Derived
+  // from config and inputs only, so it is not part of the saved state.
+  Params params_{};
+  std::uint64_t params_key_[2]{};
+  bool params_valid_ = false;
 };
 
 }  // namespace ascp::sensor

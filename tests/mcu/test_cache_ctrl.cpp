@@ -2,6 +2,9 @@
 // firmware-level access through the SFR bus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mcu/assembler.hpp"
 #include "mcu/cache_ctrl.hpp"
 
@@ -151,6 +154,53 @@ loop:   MOV R4,A
   EXPECT_EQ(core.iram(0x30), 136);
   EXPECT_EQ(cc.misses(), 1);   // one line fill
   EXPECT_EQ(cc.hits(), 15);
+}
+
+std::vector<std::uint8_t> saved(CacheController& cc) {
+  StateArchive ar = StateArchive::saver();
+  cc.serialize_state(ar);
+  return ar.take();
+}
+
+TEST(CacheCtrl, UntouchedExternalSavesAsErasedBuffer) {
+  // The backing store is allocated on first use; until then it reads as
+  // erased and saves the same bytes as an allocated all-0xFF buffer.
+  CacheController fresh, touched;
+  touched.load(0, {0xFF});
+  EXPECT_EQ(fresh.peek(0x1234), 0xFF);
+  const auto image = saved(fresh);
+  EXPECT_EQ(image, saved(touched));
+  const std::size_t n = fresh.config().external_bytes;
+  ASSERT_GT(image.size(), 8 + n);
+  std::uint64_t len = 0;
+  for (int i = 7; i >= 0; --i) len = len << 8 | image[static_cast<std::size_t>(i)];
+  EXPECT_EQ(len, n);
+  EXPECT_TRUE(std::all_of(image.begin() + 8, image.begin() + 8 + static_cast<long>(n),
+                          [](std::uint8_t b) { return b == 0xFF; }));
+}
+
+TEST(CacheCtrl, StateRoundTripKeepsWrittenBytes) {
+  CacheController a;
+  a.write(0xA1, 0x01);  // CBANK
+  a.write(0xA2, 0x23);  // CAHI
+  a.write(0xA3, 0x45);  // CALO
+  a.write(0xA4, 0x5A);  // CDATA (write-through)
+  const auto image = saved(a);
+  CacheController b;
+  StateArchive ld = StateArchive::loader(image);
+  b.serialize_state(ld);
+  EXPECT_TRUE(ld.exhausted());
+  EXPECT_EQ(b.peek(0x012345), 0x5A);
+  EXPECT_EQ(b.peek(0x012346), 0xFF);
+  EXPECT_EQ(saved(b), image);
+
+  // An erased image restores into an erased (unallocated) store.
+  CacheController erased;
+  const auto blank = saved(erased);
+  StateArchive ld2 = StateArchive::loader(blank);
+  b.serialize_state(ld2);
+  EXPECT_EQ(b.peek(0x012345), 0xFF);
+  EXPECT_EQ(saved(b), blank);
 }
 
 }  // namespace

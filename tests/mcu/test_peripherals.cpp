@@ -296,5 +296,31 @@ TEST(SramCtrl, NotArmedIgnoresPushes) {
   EXPECT_EQ(sram.count(), 0u);
 }
 
+TEST(SramCtrl, UntouchedMemorySavesAsZeroWords) {
+  // Capture memory is allocated on the first stored sample; an unallocated
+  // one reads as zero and saves the same bytes as allocated zero words.
+  auto saved = [](SramController& s) {
+    StateArchive ar = StateArchive::saver();
+    s.serialize_state(ar);
+    return ar.take();
+  };
+  SramController fresh, zero;
+  zero.write_reg(0, 3);
+  ASSERT_TRUE(zero.push(0, 0));
+  zero.write_reg(0, 2);  // reset the write pointer and disarm
+  EXPECT_EQ(saved(fresh), saved(zero));
+  EXPECT_EQ(fresh.read_reg(5), 0);
+
+  SramController cap;
+  cap.write_reg(0, 3);
+  cap.push(0, 0x1234);
+  const auto image = saved(cap);
+  SramController back;
+  StateArchive ld = StateArchive::loader(image);
+  back.serialize_state(ld);
+  EXPECT_EQ(back.snapshot(), std::vector<std::uint16_t>{0x1234});
+  EXPECT_EQ(saved(back), image);
+}
+
 }  // namespace
 }  // namespace ascp::mcu

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -164,6 +165,44 @@ TEST(Scheduler, ProfilerDoesNotChangeFiringPattern) {
     return log;
   };
   EXPECT_EQ(firing_log(false), firing_log(true));
+}
+
+TEST(Scheduler, LateRegistrationAndSetTicksKeepModuloRule) {
+  // Tasks fire when ticks() % divider == phase, whenever they were
+  // registered and wherever set_ticks() moved the counter.
+  Scheduler sched(1000.0);
+  std::vector<std::pair<long, int>> log;
+  const std::vector<std::pair<long, long>> specs = {{1, 0}, {8, 7}, {3, 1}, {5, 0}, {8, 0}};
+  auto add = [&](int id) {
+    const auto [div, ph] = specs[static_cast<std::size_t>(id)];
+    sched.every(div, ph, [&log, &sched, id] { log.emplace_back(sched.ticks(), id); });
+  };
+  add(0);
+  add(1);
+  sched.run_ticks(13);
+  add(2);  // registered mid-cycle of every divider
+  sched.run_ticks(10);
+  sched.set_ticks(1003);
+  add(3);
+  sched.run_ticks(17);
+  sched.set_ticks(6);  // backwards, as a checkpoint restore may do
+  add(4);
+  sched.run_ticks(19);
+
+  std::vector<std::pair<long, int>> want;
+  auto expect_span = [&](long from, long to, int n_tasks) {
+    for (long t = from; t < to; ++t)
+      for (int id = 0; id < n_tasks; ++id) {
+        const auto [div, ph] = specs[static_cast<std::size_t>(id)];
+        if (t % div == ph) want.emplace_back(t, id);
+      }
+  };
+  expect_span(0, 13, 2);
+  expect_span(13, 23, 3);
+  expect_span(1003, 1020, 4);
+  expect_span(6, 25, 5);
+  EXPECT_EQ(log, want);
+  EXPECT_THROW(sched.set_ticks(-1), std::invalid_argument);
 }
 
 TEST(Scheduler, ProfilerDetachStopsRecording) {
