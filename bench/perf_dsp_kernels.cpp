@@ -172,6 +172,21 @@ static void BM_GyroMemsRk4Step(benchmark::State& state) {
 }
 BENCHMARK(BM_GyroMemsRk4Step);
 
+// Gaussian draws are the largest single cost of a Full-fidelity tick (about
+// 13 per 1.92 MHz tick: MEMS Brownian force, charge amps, PGAs, ADC), so the
+// normal generator and the flicker bank built on it have rows of their own.
+static void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian());
+}
+BENCHMARK(BM_RngGaussian);
+
+static void BM_FlickerNoiseNext(benchmark::State& state) {
+  FlickerNoise flicker(Rng(1), 1.0, 20);  // the AFE noise sources' octave count
+  for (auto _ : state) benchmark::DoNotOptimize(flicker.next());
+}
+BENCHMARK(BM_FlickerNoiseNext);
+
 static void BM_Core8051Instruction(benchmark::State& state) {
   mcu::Core8051 core;
   mcu::Assembler as;

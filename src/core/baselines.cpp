@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "common/math.hpp"
 #include "dsp/modem.hpp"
@@ -212,7 +213,10 @@ void AnalogGyroBaseline::serialize_state(StateArchive& ar) {
   demod_->serialize_state(ar);
   std::int64_t ticks = sched_->ticks();
   ar.value(ticks);
-  if (!ar.saving()) sched_->set_ticks(static_cast<long>(ticks));
+  if (!ar.saving()) {
+    if (ticks < 0) throw StateError("baseline tick count " + std::to_string(ticks) + " negative");
+    sched_->set_ticks(static_cast<long>(ticks));
+  }
   ar.value(tick_temp_);
   ar.value(pick_.dc_primary);
   ar.value(pick_.dc_sense);

@@ -265,6 +265,11 @@ BlackboxReplay replay_blackbox(const BlackboxImage& img, const ChannelConfig* ba
   auto channel = std::make_unique<ConditioningChannel>(cfg);
   std::int64_t from_tick = 0;
   if (!img.checkpoint.empty()) {
+    // A well-framed image of another format version is not corruption: it
+    // would resume a stream this build does not draw, and a cold replay
+    // would silently diverge from the crash. Refuse it instead.
+    CheckpointInfo info;
+    if (inspect_checkpoint(img.checkpoint, &info)) require_checkpoint_version(info.version);
     try {
       channel->restore(img.checkpoint);
       rep.checkpoint_used = true;

@@ -157,7 +157,9 @@ struct BlackboxReplay {
 /// the original config had closure hooks), restore the embedded checkpoint
 /// (a corrupt one is detected and demoted to a cold replay, exactly like the
 /// supervisor's restart path), advance to the crash tick and compare the
-/// output hash against the recorded crash fingerprint.
+/// output hash against the recorded crash fingerprint. An intact embedded
+/// checkpoint of another format version throws StateError ("checkpoint
+/// version N unsupported"): its channel drew a different stream.
 BlackboxReplay replay_blackbox(const BlackboxImage& img,
                                const ChannelConfig* base = nullptr);
 

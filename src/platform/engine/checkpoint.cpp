@@ -43,6 +43,11 @@ std::vector<std::uint8_t> wrap_checkpoint(std::uint32_t kind,
   return image;
 }
 
+void require_checkpoint_version(std::uint32_t version) {
+  if (version != kCheckpointVersion)
+    throw StateError("checkpoint version " + std::to_string(version) + " unsupported");
+}
+
 bool inspect_checkpoint(const std::vector<std::uint8_t>& image, CheckpointInfo* info) {
   if (image.size() < kCheckpointHeaderSize) return false;
   if (std::memcmp(image.data(), kMagic, sizeof kMagic) != 0) return false;
@@ -63,9 +68,7 @@ std::vector<std::uint8_t> unwrap_checkpoint(const std::vector<std::uint8_t>& ima
   if (image.size() < kCheckpointHeaderSize) throw StateError("checkpoint truncated: no header");
   if (std::memcmp(image.data(), kMagic, sizeof kMagic) != 0)
     throw StateError("checkpoint bad magic");
-  const std::uint32_t version = get_u32(image.data() + 8);
-  if (version != kCheckpointVersion)
-    throw StateError("checkpoint version " + std::to_string(version) + " unsupported");
+  require_checkpoint_version(get_u32(image.data() + 8));
   const std::uint64_t payload_len = get_u64(image.data() + 16);
   if (image.size() < kCheckpointHeaderSize + payload_len)
     throw StateError("checkpoint truncated: payload shorter than declared");

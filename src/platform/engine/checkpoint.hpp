@@ -24,6 +24,9 @@
 //   v1  PR 6 original layout
 //   v2  CHAN section gains the stimulus-source summary (kind u32 + cursor
 //       i64 at payload offsets 20/24) and the embedded source state
+//   v3  Rng state is the xoshiro256++ words only (the ziggurat normal
+//       generator keeps no cached deviate); a v2 image would resume a
+//       Box–Muller stream this build no longer draws, so it is refused
 #pragma once
 
 #include <cstdint>
@@ -34,7 +37,7 @@
 
 namespace ascp::engine {
 
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr std::size_t kCheckpointHeaderSize = 28;
 
 /// Parsed frame header (checkpoint_tool's inspect view).
@@ -54,6 +57,10 @@ std::vector<std::uint8_t> wrap_checkpoint(std::uint32_t kind,
 /// magic, unsupported version, truncation or CRC mismatch.
 std::vector<std::uint8_t> unwrap_checkpoint(const std::vector<std::uint8_t>& image,
                                             std::uint32_t* kind_out = nullptr);
+
+/// Throws StateError("checkpoint version N unsupported") unless `version`
+/// is kCheckpointVersion.
+void require_checkpoint_version(std::uint32_t version);
 
 /// Parse the header without throwing (inspect path): returns false only when
 /// the image is too short to hold a header or the magic is wrong.

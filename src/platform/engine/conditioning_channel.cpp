@@ -161,7 +161,6 @@ ConditioningChannel::~ConditioningChannel() = default;
 
 void ConditioningChannel::advance(long n_base_ticks) {
   if (n_base_ticks <= 0) return;
-  const std::size_t before = out_.size();
   const std::uint64_t dropped_before = dropped_outputs_;
   // Causal wrapper around the whole advance: scheduler-task spans sampled
   // inside sensor_->run() parent under it. Closed-but-unwound on exception
@@ -171,7 +170,8 @@ void ConditioningChannel::advance(long n_base_ticks) {
                           static_cast<double>(ticks_) / base_rate_hz_);
   // RateSensor::run() quantizes seconds back to round(seconds·fs) ticks;
   // n/fs survives that round-trip exactly for any realistic tick count.
-  sensor_->run(*stimulus_, static_cast<double>(n_base_ticks) / base_rate_hz_, &out_);
+  fresh_.clear();
+  sensor_->run(*stimulus_, static_cast<double>(n_base_ticks) / base_rate_hz_, &fresh_);
   ticks_ += n_base_ticks;
   const double t_now = static_cast<double>(ticks_) / base_rate_hz_;
   if (obs_ && stimulus_->underruns() > last_underruns_) {
@@ -182,15 +182,16 @@ void ConditioningChannel::advance(long n_base_ticks) {
   last_underruns_ = stimulus_->underruns();
   // Hash every produced sample before the queue bound can discard any: the
   // fingerprint is a property of the simulation, not of consumer timing.
-  for (std::size_t i = before; i < out_.size(); ++i) {
+  for (double v : fresh_) {
     std::uint64_t u;
-    std::memcpy(&u, &out_[i], sizeof u);
+    std::memcpy(&u, &v, sizeof u);
     for (int b = 0; b < 8; ++b) {
       hash_ ^= (u >> (8 * b)) & 0xFF;
       hash_ *= 1099511628211ull;
     }
   }
-  const std::uint64_t produced = out_.size() - before;
+  out_.insert(out_.end(), fresh_.begin(), fresh_.end());
+  const std::uint64_t produced = fresh_.size();
   total_outputs_ += produced;
   apply_queue_bound();
   adv_span.annotate("ticks", static_cast<double>(n_base_ticks));

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -137,7 +138,12 @@ class ConditioningChannel {
   long ticks_advanced() const { return ticks_; }
 
   const ChannelConfig& config() const { return cfg_; }
-  const std::vector<double>& outputs() const { return out_; }
+  /// Pending output samples, oldest first. A deque, not a vector: with no
+  /// queue bound every sample stays here until it is drained, and a vector
+  /// would copy the whole queue into a block twice its size at each power
+  /// of two, leaving the old block resident in the allocator. The deque
+  /// grows in fixed blocks, so resident memory follows the sample count.
+  const std::deque<double>& outputs() const { return out_; }
   /// The conditioned gyro under test (null for analog-baseline kinds) — the
   /// conformance oracle reads supervisor/register state through this.
   core::GyroSystem* gyro() { return gyro_; }
@@ -172,7 +178,7 @@ class ConditioningChannel {
   }
   /// Drain the result queue (moves the pending samples out).
   std::vector<double> take_outputs() {
-    std::vector<double> drained = std::move(out_);
+    std::vector<double> drained(out_.begin(), out_.end());
     out_.clear();
     return drained;
   }
@@ -204,7 +210,8 @@ class ConditioningChannel {
   std::unique_ptr<ChannelRecorderProbe> recorder_probe_;  ///< probe tee, recorder armed
   std::unique_ptr<sensor::StimulusSource> stimulus_;
   std::uint64_t last_underruns_ = 0;  ///< edge detector for underrun events
-  std::vector<double> out_;
+  std::deque<double> out_;
+  std::vector<double> fresh_;  ///< one advance()'s samples, before they join out_
   double base_rate_hz_ = 0.0;
   long ticks_ = 0;
   std::uint64_t hash_ = 1469598103934665603ull;  ///< FNV-1a offset basis

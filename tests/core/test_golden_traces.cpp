@@ -56,7 +56,7 @@ TEST(GoldenTraces, FullFidelityClosedLoopAcrossTwoRuns) {
   sys.run(sensor::Profile::constant(0.0), sensor::Profile::constant(25.0), 0.05, &out);
   sys.run(sensor::Profile::step(90.0, 0.01), sensor::Profile::ramp(25.0, 45.0, 0.0, 0.1), 0.1,
           &out);
-  expect_golden(out, 281, 0xca208e27927aa7d5ull, 0x4003ffffffffd4a3ull, 0x4004cd464c5824afull);
+  expect_golden(out, 281, 0x26c7e4c26d73af5aull, 0x40040000000020a4ull, 0x4004d1b584b54f74ull);
 }
 
 TEST(GoldenTraces, IdealFidelityClosedLoop) {
@@ -64,7 +64,7 @@ TEST(GoldenTraces, IdealFidelityClosedLoop) {
   sys.power_on(3);
   std::vector<double> out;
   sys.run(sensor::Profile::sine(50.0, 20.0), sensor::Profile::constant(25.0), 0.1, &out);
-  expect_golden(out, 187, 0x45f0b873506aecf5ull, 0x4004000000000ca2ull, 0x4003c1974cf4d6fdull);
+  expect_golden(out, 187, 0x3556f6fb37221998ull, 0x4003fffffffff0bcull, 0x4003c168f418828aull);
 }
 
 TEST(GoldenTraces, FullFidelityWithSafetyAndMcu) {
@@ -75,7 +75,7 @@ TEST(GoldenTraces, FullFidelityWithSafetyAndMcu) {
   sys.power_on(11);
   std::vector<double> out;
   sys.run(sensor::Profile::constant(30.0), sensor::Profile::constant(35.0), 0.1, &out);
-  expect_golden(out, 187, 0xfff6132bba18e523ull, 0x4003ffffffffdebfull, 0x40044818377e8400ull);
+  expect_golden(out, 187, 0x3fb353601ee37e11ull, 0x4004000000003109ull, 0x400446d75a84f81aull);
 }
 
 TEST(GoldenTraces, IdealOpenLoopBatchedPath) {
@@ -87,7 +87,7 @@ TEST(GoldenTraces, IdealOpenLoopBatchedPath) {
   sys.power_on(5);
   std::vector<double> out;
   sys.run(sensor::Profile::constant(40.0), sensor::Profile::constant(25.0), 0.1, &out);
-  expect_golden(out, 187, 0xf1abe3461ac0c12bull, 0x4004000000000000ull, 0x400431659a4728ceull);
+  expect_golden(out, 187, 0x9098ae90930cf046ull, 0x4004000000000000ull, 0x400431490a5dfd64ull);
 }
 
 TEST(GoldenTraces, Adxrs300BaselinePhaseCarriesAcrossRuns) {
@@ -99,7 +99,7 @@ TEST(GoldenTraces, Adxrs300BaselinePhaseCarriesAcrossRuns) {
   std::vector<double> out;
   dut.run(sensor::Profile::constant(0.0), sensor::Profile::constant(25.0), 0.033335, &out);
   dut.run(sensor::Profile::constant(100.0), sensor::Profile::constant(45.0), 0.05, &out);
-  expect_golden(out, 156, 0xfef5c291a14a4f25ull, 0x40027f41d38a9184ull, 0x4006a1b5d274c5ecull);
+  expect_golden(out, 156, 0xe21d19b1bc62bb02ull, 0x40048942c9703675ull, 0x4008ae57698b06e1ull);
 }
 
 TEST(GoldenTraces, GyrostarBaseline) {
@@ -107,7 +107,7 @@ TEST(GoldenTraces, GyrostarBaseline) {
   dut.power_on(33);
   std::vector<double> out;
   dut.run(sensor::Profile::step(80.0, 0.02), sensor::Profile::constant(25.0), 0.06, &out);
-  expect_golden(out, 112, 0x16f1d76e39333260ull, 0x3ff52ce2f7814e46ull, 0x3ff6046922ade705ull);
+  expect_golden(out, 112, 0x5c7ec159952b860aull, 0x3ff641b651d0690eull, 0x3ff732df53fff5caull);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/state_archive.hpp"
 #include "obs/observability.hpp"
 #include "platform/engine/blackbox.hpp"
+#include "platform/engine/checkpoint.hpp"
 #include "platform/engine/fleet.hpp"
 #include "safety/dtc.hpp"
 
@@ -261,6 +262,41 @@ TEST(Blackbox, CorruptEmbeddedCheckpointDemotesToColdReplayStillBitExact) {
   EXPECT_FALSE(rep.checkpoint_used);
   EXPECT_TRUE(rep.checkpoint_corrupt);  // detected exactly like the supervisor
   EXPECT_TRUE(rep.hash_match);          // cold replay still reproduces the hash
+}
+
+TEST(Blackbox, PreviousCheckpointVersionIsRefusedNotReplayed) {
+  // A v2 image (Box–Muller era: its Rng state carries a cached deviate)
+  // must be refused by restore and by blackbox replay alike, never demoted
+  // to a cold replay that would silently draw a different noise stream.
+  ChannelConfig cfg;
+  cfg.kind = ChannelKind::Gyrostar;
+  cfg.seed = 5;
+  ConditioningChannel ch(cfg);
+  ch.advance(20000);
+  std::vector<std::uint8_t> v2 = ch.snapshot();
+  ASSERT_EQ(kCheckpointVersion, 3u);
+  v2[8] = 2;  // little-endian version field at offset 8
+  const auto expect_refused = [](const auto& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << "v2 checkpoint accepted";
+    } catch (const StateError& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint version 2 unsupported"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  ConditioningChannel target(cfg);
+  expect_refused([&] { target.restore(v2); });
+
+  BlackboxImage img;
+  img.kind = static_cast<std::uint32_t>(cfg.kind);
+  img.seed = cfg.seed;
+  img.crash_ticks = 40000;
+  img.checkpoint = v2;
+  const BlackboxImage decoded = decode_blackbox(encode_blackbox(img));
+  expect_refused([&] { replay_blackbox(decoded); });
 }
 
 TEST(Blackbox, QuarantinedChannelLeavesReplayableImages) {
