@@ -39,6 +39,7 @@
 #include "mcu/bus.hpp"
 #include "mcu/cache_ctrl.hpp"
 #include "mcu/core8051.hpp"
+#include "mcu/isa.hpp"
 #include "mcu/monitor_rom.hpp"
 #include "mcu/spi.hpp"
 #include "mcu/uart.hpp"
@@ -109,10 +110,11 @@ class FunctionTracker : public obs::McuProfiler {
       round_start_[pc] = busy_;
     }
 
-    if (opcode == 0x12 || (opcode & 0x1F) == 0x11) {  // LCALL / ACALL
+    const mcu::Flow flow = mcu::op_info(opcode).flow;
+    if (flow == mcu::Flow::Call) {
       pending_call_ = true;
       pending_wait_ = wait;
-    } else if (opcode == 0x22 && !frames_.empty()) {  // RET
+    } else if (flow == mcu::Flow::Ret && !frames_.empty()) {
       const Frame f = frames_.back();
       frames_.pop_back();
       if (f.wait_ctx)

@@ -21,9 +21,12 @@
 #                        replay under ASAN
 #   ci.sh wcet         — static timing proof: platform_lint --timing must be
 #                        error-free on the shipped platform, the unbounded-
-#                        loop fixture must be flagged, and the differential
+#                        loop fixture must be flagged, the differential
 #                        WCET validation bench (static >= ISS-observed for
-#                        every corpus function) must pass in smoke mode
+#                        every corpus function) must pass in smoke mode, and
+#                        the MCU + analysis suites (ISA table indexing,
+#                        decoding past an image's end, operand parsing) must
+#                        pass under ASAN
 #   ci.sh replay       — stimulus record/replay proof: stimulus_tool
 #                        record→replay hash round-trip on two corpus
 #                        scenarios (one under ASAN), a stimulus_tool diff
@@ -79,6 +82,10 @@ stage_wcet() {
   fi
   echo "== wcet_validation: static WCET >= ISS-observed (smoke) =="
   ./build/bench/wcet_validation --smoke
+  build_preset asan --target test_mcu --target test_analysis
+  echo "== ISA table, decoder and assembler suites under ASAN =="
+  ./build-asan/tests/test_mcu
+  ./build-asan/tests/test_analysis
 }
 
 stage_replay() {

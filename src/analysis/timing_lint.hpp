@@ -6,8 +6,8 @@
 // cycle). The dynamic profilers (obs::McuProfiler, obs::TaskProfiler)
 // *observe* those budgets; this analyzer *proves* them before anything runs:
 //
-//   * per-opcode machine-cycle table mirroring core8051's execute() exactly
-//     (verified instruction-by-instruction by the tier-1 tests)
+//   * per-opcode machine cycles and operand accesses from the ISA table
+//     (mcu/isa.hpp) the ISS itself charges cycles from
 //   * loop bounds: counted DJNZ/CJNE idioms are inferred from the
 //     initializing MOV; every other back edge needs a `;@loop-bound N` or
 //     `;@loop-wait` assembler annotation, and a back edge with neither is a
@@ -44,9 +44,10 @@
 
 namespace ascp::analysis {
 
-/// Machine cycles consumed by `opcode`, exactly as core8051::step() accounts
-/// them (fixed per opcode — branch outcome and operand values never change
-/// the cost on this core, which is what makes the static table exact).
+/// Machine cycles consumed by `opcode`: the ISA table entry (mcu/isa.hpp)
+/// core8051::step() charges too (fixed per opcode — branch outcome and
+/// operand values never change the cost on this core, which is what makes
+/// the static cost exact).
 int opcode_cycles(std::uint8_t opcode);
 
 struct TimingOptions {

@@ -1,17 +1,28 @@
 #include "common/state_archive.hpp"
 
+#include <array>
+
 namespace ascp {
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  // Bitwise reflected CRC-32; no table keeps the hot loop cache-neutral and
-  // the function header-independent. Checkpoints are O(100 KB), so the ~8
-  // shifts per byte are invisible next to the simulation itself.
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc ^= data[i];
-    for (int b = 0; b < 8; ++b)
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+namespace {
+
+// Byte-at-a-time lookup table for the reflected polynomial: entry i is the
+// CRC register after shifting byte i through the eight bitwise steps.
+constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
+  std::array<std::uint32_t, 256> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    t[i] = c;
   }
+  return t;
+}();
+
+}  // namespace
+
+std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) crc = (crc >> 8) ^ kCrcTable[(crc ^ data[i]) & 0xFFu];
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -1,9 +1,12 @@
 #include "mcu/assembler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
+
+#include "mcu/isa.hpp"
 
 namespace ascp::mcu {
 
@@ -34,23 +37,60 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(begin, end - begin + 1));
 }
 
-bool is_reg(const std::string& op, int& n) {
+/// Syntactic class of one source operand. Fixed tokens and register forms
+/// are recognised as written, '#…' is immediate data and '/…' a complemented
+/// bit; anything else is an expression whose meaning (direct byte, bit or
+/// branch target) the matching table entry decides. Rn/@Ri set `reg`.
+Opnd classify(const std::string& op, int& reg) {
+  if (op == "A") return Opnd::A;
+  if (op == "AB") return Opnd::AB;
+  if (op == "C") return Opnd::C;
+  if (op == "DPTR") return Opnd::Dptr;
+  if (op == "@DPTR") return Opnd::AtDptr;
+  if (op == "@A+DPTR") return Opnd::AtADptr;
+  if (op == "@A+PC") return Opnd::AtAPc;
   if (op.size() == 2 && op[0] == 'R' && op[1] >= '0' && op[1] <= '7') {
-    n = op[1] - '0';
-    return true;
+    reg = op[1] - '0';
+    return Opnd::Rn;
   }
-  return false;
-}
-
-bool is_ind(const std::string& op, int& n) {
   if (op.size() == 3 && op[0] == '@' && op[1] == 'R' && (op[2] == '0' || op[2] == '1')) {
-    n = op[2] - '0';
-    return true;
+    reg = op[2] - '0';
+    return Opnd::AtRi;
   }
-  return false;
+  if (!op.empty() && op[0] == '#') return Opnd::Imm;
+  if (!op.empty() && op[0] == '/') return Opnd::NotBit;
+  return Opnd::Dir;
 }
 
-bool is_imm(const std::string& op) { return !op.empty() && op[0] == '#'; }
+bool fits(Opnd cls, Opnd fmt) {
+  if (cls == fmt) return true;
+  if (cls == Opnd::Imm) return fmt == Opnd::Imm16;
+  return cls == Opnd::Dir && (fmt == Opnd::Bit || fmt == Opnd::Rel || fmt == Opnd::Addr11 ||
+                              fmt == Opnd::Addr16);
+}
+
+/// Opcode of the table entry matching (mnemonic, operand classes), with the
+/// Rn/@Ri register index folded in. Family members share one entry shape,
+/// so the ascending scan stops at the family's base opcode.
+std::uint8_t opcode_for(const std::string& m, const std::vector<std::string>& ops, int line) {
+  std::array<Opnd, 3> cls{};
+  int reg = 0;
+  for (std::size_t i = 0; i < ops.size() && i < cls.size(); ++i) cls[i] = classify(ops[i], reg);
+  bool known = false;
+  for (int op = 0; op < 256; ++op) {
+    const OpInfo& info = kIsa[static_cast<std::size_t>(op)];
+    if (info.mnemonic != m) continue;
+    known = true;
+    if (info.count != ops.size()) continue;
+    bool match = true;
+    for (int i = 0; i < info.count; ++i) match = match && fits(cls[i], info.operands[i].fmt);
+    if (match) return static_cast<std::uint8_t>(op + reg);
+  }
+  if (!known) throw AsmError(line, "unknown mnemonic '" + m + "'");
+  std::string listed;
+  for (const auto& op : ops) listed += (listed.empty() ? "" : ", ") + op;
+  throw AsmError(line, "bad operands for " + m + ": '" + listed + "'");
+}
 
 }  // namespace
 
@@ -290,312 +330,47 @@ std::uint8_t Assembler::eval_bit(const std::string& expr, int line) const {
   return static_cast<std::uint8_t>(eval(expr, line) & 0xFF);
 }
 
-int Assembler::instruction_size(const Line& l) const {
-  const std::string& m = l.mnemonic;
-  const auto& ops = l.operands;
-  int n = 0;
-
-  auto op_is = [&](std::size_t i, const char* s) { return i < ops.size() && ops[i] == s; };
-
-  if (m == "NOP" || m == "RET" || m == "RETI") return 1;
-  if (m == "AJMP" || m == "ACALL") return 2;
-  if (m == "LJMP" || m == "LCALL") return 3;
-  if (m == "SJMP") return 2;
-  if (m == "JMP") return 1;  // JMP @A+DPTR
-  if (m == "JC" || m == "JNC" || m == "JZ" || m == "JNZ") return 2;
-  if (m == "JB" || m == "JNB" || m == "JBC") return 3;
-  if (m == "RR" || m == "RRC" || m == "RL" || m == "RLC" || m == "SWAP" || m == "DA") return 1;
-  if (m == "MUL" || m == "DIV") return 1;
-  if (m == "XCHD") return 1;
-  if (m == "INC" || m == "DEC") {
-    if (op_is(0, "A") || op_is(0, "DPTR")) return 1;
-    if (!ops.empty() && (is_reg(ops[0], n) || is_ind(ops[0], n))) return 1;
-    return 2;  // direct
-  }
-  if (m == "ADD" || m == "ADDC" || m == "SUBB") {
-    // ADD A,src
-    if (ops.size() == 2 && (is_reg(ops[1], n) || is_ind(ops[1], n))) return 1;
-    return 2;  // #imm or direct
-  }
-  if (m == "ORL" || m == "ANL" || m == "XRL") {
-    if (ops.size() == 2 && ops[0] == "A") {
-      if (is_reg(ops[1], n) || is_ind(ops[1], n)) return 1;
-      return 2;
-    }
-    if (ops.size() == 2 && ops[0] == "C") return 2;  // ORL/ANL C,bit
-    // dir,A = 2 bytes; dir,#imm = 3 bytes
-    if (ops.size() == 2 && ops[1] == "A") return 2;
-    return 3;
-  }
-  if (m == "MOV") {
-    if (ops.size() != 2) throw AsmError(l.number, "MOV needs two operands");
-    const std::string& d = ops[0];
-    const std::string& s = ops[1];
-    if (d == "DPTR") return 3;
-    if (d == "C" || s == "C") return 2;  // MOV C,bit / MOV bit,C
-    if (d == "A") {
-      if (is_reg(s, n) || is_ind(s, n)) return 1;
-      return 2;  // #imm or direct
-    }
-    if (is_reg(d, n)) {
-      if (s == "A") return 1;
-      return 2;  // #imm or direct
-    }
-    if (is_ind(d, n)) {
-      if (s == "A") return 1;
-      return 2;
-    }
-    // direct destination
-    if (s == "A") return 2;
-    if (is_reg(s, n) || is_ind(s, n)) return 2;
-    return 3;  // dir,dir or dir,#imm
-  }
-  if (m == "MOVC") return 1;
-  if (m == "MOVX") return 1;
-  if (m == "PUSH" || m == "POP") return 2;
-  if (m == "XCH") {
-    if (ops.size() == 2 && (is_reg(ops[1], n) || is_ind(ops[1], n))) return 1;
-    return 2;
-  }
-  if (m == "CJNE") return 3;
-  if (m == "DJNZ") {
-    if (!ops.empty() && is_reg(ops[0], n)) return 2;
-    return 3;
-  }
-  if (m == "CLR" || m == "SETB" || m == "CPL") {
-    if (op_is(0, "A") || op_is(0, "C")) return 1;
-    return 2;  // bit
-  }
-  throw AsmError(l.number, "unknown mnemonic '" + m + "'");
-}
-
 void Assembler::encode(const Line& l, std::uint16_t addr, std::vector<std::uint8_t>& out) const {
-  const std::string& m = l.mnemonic;
-  const auto& ops = l.operands;
   const int ln = l.number;
-  int n = 0;
-
-  auto emit = [&](int b) { out.push_back(static_cast<std::uint8_t>(b & 0xFF)); };
-  auto need = [&](std::size_t count) {
-    if (ops.size() != count)
-      throw AsmError(ln, m + " expects " + std::to_string(count) + " operand(s)");
-  };
-  auto rel_to = [&](const std::string& target, std::uint16_t end_addr) {
-    const int delta = static_cast<int>(eval(target, ln)) - static_cast<int>(end_addr);
-    if (delta < -128 || delta > 127)
-      throw AsmError(ln, "relative branch out of range (" + std::to_string(delta) + ")");
-    return delta & 0xFF;
-  };
-  auto imm_of = [&](const std::string& op) { return eval8(op.substr(1), ln); };
-
-  if (m == "NOP") { emit(0x00); return; }
-  if (m == "RET") { emit(0x22); return; }
-  if (m == "RETI") { emit(0x32); return; }
-
-  if (m == "LJMP") { need(1); const auto t = eval(ops[0], ln); emit(0x02); emit(t >> 8); emit(t); return; }
-  if (m == "LCALL") { need(1); const auto t = eval(ops[0], ln); emit(0x12); emit(t >> 8); emit(t); return; }
-  if (m == "AJMP" || m == "ACALL") {
-    need(1);
-    const auto t = eval(ops[0], ln);
-    const std::uint16_t end_addr = static_cast<std::uint16_t>(addr + 2);
-    if ((t & 0xF800) != (end_addr & 0xF800))
-      throw AsmError(ln, m + " target outside the current 2K page");
-    emit(((t >> 3) & 0xE0) | (m == "AJMP" ? 0x01 : 0x11));
-    emit(t & 0xFF);
-    return;
-  }
-  if (m == "SJMP") { need(1); emit(0x80); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JMP") { emit(0x73); return; }
-  if (m == "JC") { need(1); emit(0x40); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JNC") { need(1); emit(0x50); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JZ") { need(1); emit(0x60); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JNZ") { need(1); emit(0x70); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JB" || m == "JNB" || m == "JBC") {
-    need(2);
-    emit(m == "JB" ? 0x20 : (m == "JNB" ? 0x30 : 0x10));
-    emit(eval_bit(ops[0], ln));
-    emit(rel_to(ops[1], addr + 3));
-    return;
-  }
-
-  if (m == "RR") { emit(0x03); return; }
-  if (m == "RRC") { emit(0x13); return; }
-  if (m == "RL") { emit(0x23); return; }
-  if (m == "RLC") { emit(0x33); return; }
-  if (m == "SWAP") { emit(0xC4); return; }
-  if (m == "DA") { emit(0xD4); return; }
-  if (m == "MUL") { emit(0xA4); return; }
-  if (m == "DIV") { emit(0x84); return; }
-  if (m == "XCHD") { need(2); is_ind(ops[1], n); emit(0xD6 | n); return; }
-
-  if (m == "INC" || m == "DEC") {
-    need(1);
-    const int base = m == "INC" ? 0x04 : 0x14;
-    if (ops[0] == "A") { emit(base); return; }
-    if (m == "INC" && ops[0] == "DPTR") { emit(0xA3); return; }
-    if (is_reg(ops[0], n)) { emit(base + 4 + n); return; }
-    if (is_ind(ops[0], n)) { emit(base + 2 + n); return; }
-    emit(base + 1);
-    emit(eval8(ops[0], ln));
-    return;
-  }
-
-  if (m == "ADD" || m == "ADDC" || m == "SUBB") {
-    need(2);
-    if (ops[0] != "A") throw AsmError(ln, m + " destination must be A");
-    const int base = m == "ADD" ? 0x24 : (m == "ADDC" ? 0x34 : 0x94);
-    if (is_imm(ops[1])) { emit(base); emit(imm_of(ops[1])); return; }
-    if (is_reg(ops[1], n)) { emit(base + 4 + n); return; }
-    if (is_ind(ops[1], n)) { emit(base + 2 + n); return; }
-    emit(base + 1);
-    emit(eval8(ops[1], ln));
-    return;
-  }
-
-  if (m == "ORL" || m == "ANL" || m == "XRL") {
-    need(2);
-    const int base = m == "ORL" ? 0x40 : (m == "ANL" ? 0x50 : 0x60);
-    if (ops[0] == "C") {
-      if (m == "XRL") throw AsmError(ln, "XRL C,bit does not exist");
-      const bool inverted = !ops[1].empty() && ops[1][0] == '/';
-      const std::string bit = inverted ? trim(ops[1].substr(1)) : ops[1];
-      emit(m == "ORL" ? (inverted ? 0xA0 : 0x72) : (inverted ? 0xB0 : 0x82));
-      emit(eval_bit(bit, ln));
-      return;
+  const std::uint8_t opcode = opcode_for(l.mnemonic, l.operands, ln);
+  const OpInfo& info = op_info(opcode);
+  std::uint8_t b[3] = {opcode, 0, 0};
+  const auto end_addr = static_cast<std::uint16_t>(addr + info.length);
+  for (int i = 0; i < info.count; ++i) {
+    const Operand& o = info.operands[i];
+    const std::string& src = l.operands[static_cast<std::size_t>(i)];
+    switch (o.fmt) {
+      case Opnd::Dir: b[o.slot] = eval8(src, ln); break;
+      case Opnd::Bit: b[o.slot] = eval_bit(src, ln); break;
+      case Opnd::NotBit: b[o.slot] = eval_bit(trim(src.substr(1)), ln); break;
+      case Opnd::Imm: b[o.slot] = eval8(src.substr(1), ln); break;
+      case Opnd::Imm16:
+      case Opnd::Addr16: {
+        const std::uint16_t v = eval(o.fmt == Opnd::Imm16 ? src.substr(1) : src, ln);
+        b[o.slot] = static_cast<std::uint8_t>(v >> 8);
+        b[o.slot + 1] = static_cast<std::uint8_t>(v & 0xFF);
+        break;
+      }
+      case Opnd::Rel: {
+        // The PC wraps at 64 KiB, so distance is taken modulo 2^16.
+        const int delta = static_cast<std::int16_t>(eval(src, ln) - end_addr);
+        if (delta < -128 || delta > 127)
+          throw AsmError(ln, "relative branch out of range (" + std::to_string(delta) + ")");
+        b[o.slot] = static_cast<std::uint8_t>(delta & 0xFF);
+        break;
+      }
+      case Opnd::Addr11: {
+        const std::uint16_t t = eval(src, ln);
+        if ((t & 0xF800) != (end_addr & 0xF800))
+          throw AsmError(ln, l.mnemonic + " target outside the current 2K page");
+        b[0] = static_cast<std::uint8_t>(b[0] | ((t >> 3) & 0xE0));
+        b[o.slot] = static_cast<std::uint8_t>(t & 0xFF);
+        break;
+      }
+      default: break;  // fixed tokens and Rn/@Ri live in the opcode
     }
-    if (ops[0] == "A") {
-      if (is_imm(ops[1])) { emit(base + 4); emit(imm_of(ops[1])); return; }
-      if (is_reg(ops[1], n)) { emit(base + 8 + n); return; }
-      if (is_ind(ops[1], n)) { emit(base + 6 + n); return; }
-      emit(base + 5);
-      emit(eval8(ops[1], ln));
-      return;
-    }
-    // direct destination
-    if (ops[1] == "A") { emit(base + 2); emit(eval8(ops[0], ln)); return; }
-    if (is_imm(ops[1])) { emit(base + 3); emit(eval8(ops[0], ln)); emit(imm_of(ops[1])); return; }
-    throw AsmError(ln, "bad operands for " + m);
   }
-
-  if (m == "CLR" || m == "SETB" || m == "CPL") {
-    need(1);
-    if (ops[0] == "A") {
-      if (m == "CLR") { emit(0xE4); return; }
-      if (m == "CPL") { emit(0xF4); return; }
-      throw AsmError(ln, "SETB A does not exist");
-    }
-    if (ops[0] == "C") {
-      emit(m == "CLR" ? 0xC3 : (m == "SETB" ? 0xD3 : 0xB3));
-      return;
-    }
-    emit(m == "CLR" ? 0xC2 : (m == "SETB" ? 0xD2 : 0xB2));
-    emit(eval_bit(ops[0], ln));
-    return;
-  }
-
-  if (m == "MOV") {
-    need(2);
-    const std::string& d = ops[0];
-    const std::string& s = ops[1];
-    if (d == "DPTR") {
-      if (!is_imm(s)) throw AsmError(ln, "MOV DPTR needs immediate");
-      const auto v = eval(s.substr(1), ln);
-      emit(0x90); emit(v >> 8); emit(v);
-      return;
-    }
-    if (d == "C") { emit(0xA2); emit(eval_bit(s, ln)); return; }
-    if (s == "C") { emit(0x92); emit(eval_bit(d, ln)); return; }
-    if (d == "A") {
-      if (is_imm(s)) { emit(0x74); emit(imm_of(s)); return; }
-      if (is_reg(s, n)) { emit(0xE8 + n); return; }
-      if (is_ind(s, n)) { emit(0xE6 + n); return; }
-      emit(0xE5); emit(eval8(s, ln));
-      return;
-    }
-    if (is_reg(d, n)) {
-      if (s == "A") { emit(0xF8 + n); return; }
-      if (is_imm(s)) { emit(0x78 + n); emit(imm_of(s)); return; }
-      emit(0xA8 + n); emit(eval8(s, ln));
-      return;
-    }
-    if (is_ind(d, n)) {
-      if (s == "A") { emit(0xF6 + n); return; }
-      if (is_imm(s)) { emit(0x76 + n); emit(imm_of(s)); return; }
-      emit(0xA6 + n); emit(eval8(s, ln));
-      return;
-    }
-    // direct destination
-    if (s == "A") { emit(0xF5); emit(eval8(d, ln)); return; }
-    if (is_reg(s, n)) { emit(0x88 + n); emit(eval8(d, ln)); return; }
-    if (is_ind(s, n)) { emit(0x86 + n); emit(eval8(d, ln)); return; }
-    if (is_imm(s)) { emit(0x75); emit(eval8(d, ln)); emit(imm_of(s)); return; }
-    // MOV dir,dir: source byte first.
-    emit(0x85); emit(eval8(s, ln)); emit(eval8(d, ln));
-    return;
-  }
-
-  if (m == "MOVC") {
-    need(2);
-    if (ops[1] == "@A+DPTR") { emit(0x93); return; }
-    if (ops[1] == "@A+PC") { emit(0x83); return; }
-    throw AsmError(ln, "MOVC source must be @A+DPTR or @A+PC");
-  }
-  if (m == "MOVX") {
-    need(2);
-    if (ops[0] == "A") {
-      if (ops[1] == "@DPTR") { emit(0xE0); return; }
-      if (is_ind(ops[1], n)) { emit(0xE2 + n); return; }
-    } else if (ops[1] == "A") {
-      if (ops[0] == "@DPTR") { emit(0xF0); return; }
-      if (is_ind(ops[0], n)) { emit(0xF2 + n); return; }
-    }
-    throw AsmError(ln, "bad MOVX operands");
-  }
-
-  if (m == "PUSH") { need(1); emit(0xC0); emit(eval8(ops[0], ln)); return; }
-  if (m == "POP") { need(1); emit(0xD0); emit(eval8(ops[0], ln)); return; }
-
-  if (m == "XCH") {
-    need(2);
-    if (ops[0] != "A") throw AsmError(ln, "XCH destination must be A");
-    if (is_reg(ops[1], n)) { emit(0xC8 + n); return; }
-    if (is_ind(ops[1], n)) { emit(0xC6 + n); return; }
-    emit(0xC5); emit(eval8(ops[1], ln));
-    return;
-  }
-
-  if (m == "CJNE") {
-    need(3);
-    const std::uint16_t end_addr = static_cast<std::uint16_t>(addr + 3);
-    if (ops[0] == "A") {
-      if (is_imm(ops[1])) { emit(0xB4); emit(imm_of(ops[1])); }
-      else { emit(0xB5); emit(eval8(ops[1], ln)); }
-      emit(rel_to(ops[2], end_addr));
-      return;
-    }
-    if (!is_imm(ops[1])) throw AsmError(ln, "CJNE Rn/@Ri needs immediate comparand");
-    if (is_reg(ops[0], n)) { emit(0xB8 + n); }
-    else if (is_ind(ops[0], n)) { emit(0xB6 + n); }
-    else throw AsmError(ln, "bad CJNE operands");
-    emit(imm_of(ops[1]));
-    emit(rel_to(ops[2], end_addr));
-    return;
-  }
-
-  if (m == "DJNZ") {
-    need(2);
-    if (is_reg(ops[0], n)) {
-      emit(0xD8 + n);
-      emit(rel_to(ops[1], addr + 2));
-      return;
-    }
-    emit(0xD5);
-    emit(eval8(ops[0], ln));
-    emit(rel_to(ops[1], addr + 3));
-    return;
-  }
-
-  throw AsmError(ln, "unknown mnemonic '" + m + "'");
+  out.assign(b, b + info.length);
 }
 
 AsmResult Assembler::assemble(std::string_view source) {
@@ -627,7 +402,7 @@ AsmResult Assembler::assemble(std::string_view source) {
     if (l.mnemonic == "DB") size = static_cast<int>(l.operands.size());
     else if (l.mnemonic == "DW") size = static_cast<int>(l.operands.size()) * 2;
     else if (l.mnemonic == "DS") size = eval(l.operands.at(0), l.number);
-    else size = instruction_size(l);
+    else size = op_info(opcode_for(l.mnemonic, l.operands, l.number)).length;
     lowest = std::min(lowest, addr);
     addr = static_cast<std::uint16_t>(addr + size);
     highest = std::max(highest, addr);
@@ -678,8 +453,6 @@ AsmResult Assembler::assemble(std::string_view source) {
       bytes.assign(eval(l.operands.at(0), l.number), 0x00);
     } else {
       encode(l, addr, bytes);
-      if (static_cast<int>(bytes.size()) != instruction_size(l))
-        throw AsmError(l.number, "internal: size mismatch for '" + l.mnemonic + "'");
       if (pending) {
         result.loop_annots[addr] = pending->annot;
         pending.reset();

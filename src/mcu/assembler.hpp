@@ -75,7 +75,8 @@ class Assembler {
   std::map<std::string, std::uint8_t> bit_symbols_;
 
   static std::vector<Line> parse(std::string_view source);
-  int instruction_size(const Line& line) const;
+  /// Encode one instruction: look up (mnemonic, operand formats) in the ISA
+  /// table (mcu/isa.hpp), then fill the operand bytes it names.
   void encode(const Line& line, std::uint16_t addr, std::vector<std::uint8_t>& out) const;
 
   std::uint16_t eval(const std::string& expr, int line) const;

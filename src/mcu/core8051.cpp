@@ -1,5 +1,6 @@
 #include "mcu/core8051.hpp"
 
+#include "mcu/isa.hpp"
 #include "obs/mcu_profile.hpp"
 
 namespace ascp::mcu {
@@ -351,7 +352,8 @@ int Core8051::step() {
   }
   const std::uint16_t pc_before = pc_;
   const std::uint8_t opcode = code_[pc_before];
-  const int c = execute();
+  const int c = op_info(opcode).cycles;
+  execute();
   cycles_ += c;
   if (profiler_)
     profiler_->record_exec(pc_before, opcode, c, static_cast<std::uint64_t>(cycles_));
@@ -365,10 +367,9 @@ long Core8051::run_cycles(long cycles) {
   return used;
 }
 
-int Core8051::execute() {
+void Core8051::execute() {
   const std::uint16_t op_pc = pc_;
   const std::uint8_t op = fetch();
-  int cycles = 1;
 
   switch (op) {
     case 0x00:  // NOP
@@ -382,7 +383,6 @@ int Core8051::execute() {
           static_cast<std::uint16_t>((pc_ & 0xF800) | ((op & 0xE0) << 3) | lo);
       halted_ = target == op_pc;
       pc_ = target;
-      cycles = 2;
       break;
     }
     case 0x11: case 0x31: case 0x51: case 0x71:
@@ -391,7 +391,6 @@ int Core8051::execute() {
       push(static_cast<std::uint8_t>(pc_ & 0xFF));
       push(static_cast<std::uint8_t>(pc_ >> 8));
       pc_ = static_cast<std::uint16_t>((pc_ & 0xF800) | ((op & 0xE0) << 3) | lo);
-      cycles = 2;
       break;
     }
     case 0x02: {  // LJMP addr16
@@ -399,7 +398,6 @@ int Core8051::execute() {
       const std::uint16_t target = static_cast<std::uint16_t>(hi << 8 | lo);
       halted_ = target == op_pc;
       pc_ = target;
-      cycles = 2;
       break;
     }
     case 0x12: {  // LCALL addr16
@@ -407,13 +405,11 @@ int Core8051::execute() {
       push(static_cast<std::uint8_t>(pc_ & 0xFF));
       push(static_cast<std::uint8_t>(pc_ >> 8));
       pc_ = static_cast<std::uint16_t>(hi << 8 | lo);
-      cycles = 2;
       break;
     }
     case 0x22: {  // RET
       const std::uint8_t hi = pop(), lo = pop();
       pc_ = static_cast<std::uint16_t>(hi << 8 | lo);
-      cycles = 2;
       break;
     }
     case 0x32: {  // RETI
@@ -423,7 +419,6 @@ int Core8051::execute() {
         in_isr_high_ = false;
       else
         in_isr_low_ = false;
-      cycles = 2;
       break;
     }
     case 0x80: {  // SJMP rel
@@ -431,12 +426,10 @@ int Core8051::execute() {
       const std::uint16_t target = static_cast<std::uint16_t>(pc_ + rel);
       halted_ = target == op_pc;
       pc_ = target;
-      cycles = 2;
       break;
     }
     case 0x73:  // JMP @A+DPTR
       pc_ = static_cast<std::uint16_t>(dptr() + a());
-      cycles = 2;
       break;
 
     // ---- conditional branches -------------------------------------------
@@ -447,45 +440,38 @@ int Core8051::execute() {
         bit_write(bit, false);
         pc_ = static_cast<std::uint16_t>(pc_ + rel);
       }
-      cycles = 2;
       break;
     }
     case 0x20: {  // JB bit,rel
       const std::uint8_t bit = fetch();
       const auto rel = static_cast<std::int8_t>(fetch());
       if (bit_read(bit)) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0x30: {  // JNB bit,rel
       const std::uint8_t bit = fetch();
       const auto rel = static_cast<std::int8_t>(fetch());
       if (!bit_read(bit)) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0x40: {  // JC rel
       const auto rel = static_cast<std::int8_t>(fetch());
       if (flag(kCy)) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0x50: {  // JNC rel
       const auto rel = static_cast<std::int8_t>(fetch());
       if (!flag(kCy)) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0x60: {  // JZ rel
       const auto rel = static_cast<std::int8_t>(fetch());
       if (a() == 0) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0x70: {  // JNZ rel
       const auto rel = static_cast<std::int8_t>(fetch());
       if (a() != 0) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
 
@@ -522,7 +508,6 @@ int Core8051::execute() {
       break;
     case 0xA3:  // INC DPTR
       set_dptr(static_cast<std::uint16_t>(dptr() + 1));
-      cycles = 2;
       break;
 
     // ---- rotates ----------------------------------------------------------
@@ -566,7 +551,6 @@ int Core8051::execute() {
       sfr_raw_set(sfr::B, static_cast<std::uint8_t>(prod >> 8));
       set_flag(kCy, false);
       set_flag(kOv, prod > 0xFF);
-      cycles = 4;
       break;
     }
     case 0x84: {  // DIV AB
@@ -581,7 +565,6 @@ int Core8051::execute() {
         sfr_raw_set(sfr::B, rem);
         set_flag(kOv, false);
       }
-      cycles = 4;
       break;
     }
     case 0xD4: {  // DA A
@@ -597,21 +580,21 @@ int Core8051::execute() {
 
     // ---- logic --------------------------------------------------------------
     case 0x42: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) | a()); break; }
-    case 0x43: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) | fetch()); cycles = 2; break; }
+    case 0x43: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) | fetch()); break; }
     case 0x44: set_a(a() | fetch()); break;
     case 0x45: set_a(a() | direct_read(fetch())); break;
     case 0x46: case 0x47: set_a(a() | iram_[r(op & 1)]); break;
     case 0x48: case 0x49: case 0x4A: case 0x4B:
     case 0x4C: case 0x4D: case 0x4E: case 0x4F: set_a(a() | r(op & 7)); break;
     case 0x52: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) & a()); break; }
-    case 0x53: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) & fetch()); cycles = 2; break; }
+    case 0x53: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) & fetch()); break; }
     case 0x54: set_a(a() & fetch()); break;
     case 0x55: set_a(a() & direct_read(fetch())); break;
     case 0x56: case 0x57: set_a(a() & iram_[r(op & 1)]); break;
     case 0x58: case 0x59: case 0x5A: case 0x5B:
     case 0x5C: case 0x5D: case 0x5E: case 0x5F: set_a(a() & r(op & 7)); break;
     case 0x62: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) ^ a()); break; }
-    case 0x63: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) ^ fetch()); cycles = 2; break; }
+    case 0x63: { const std::uint8_t d = fetch(); direct_write(d, direct_read(d) ^ fetch()); break; }
     case 0x64: set_a(a() ^ fetch()); break;
     case 0x65: set_a(a() ^ direct_read(fetch())); break;
     case 0x66: case 0x67: set_a(a() ^ iram_[r(op & 1)]); break;
@@ -621,12 +604,12 @@ int Core8051::execute() {
     case 0xF4: set_a(static_cast<std::uint8_t>(~a())); break;       // CPL A
 
     // ---- boolean (carry) ------------------------------------------------------
-    case 0x72: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) || bit_read(b)); cycles = 2; break; }
-    case 0x82: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) && bit_read(b)); cycles = 2; break; }
-    case 0xA0: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) || !bit_read(b)); cycles = 2; break; }
-    case 0xB0: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) && !bit_read(b)); cycles = 2; break; }
+    case 0x72: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) || bit_read(b)); break; }
+    case 0x82: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) && bit_read(b)); break; }
+    case 0xA0: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) || !bit_read(b)); break; }
+    case 0xB0: { const std::uint8_t b = fetch(); set_flag(kCy, flag(kCy) && !bit_read(b)); break; }
     case 0xA2: set_flag(kCy, bit_read(fetch())); break;       // MOV C,bit
-    case 0x92: bit_write(fetch(), flag(kCy)); cycles = 2; break;  // MOV bit,C
+    case 0x92: bit_write(fetch(), flag(kCy)); break;  // MOV bit,C
     case 0xB2: { const std::uint8_t b = fetch(); bit_write(b, !bit_read(b)); break; }  // CPL bit
     case 0xB3: set_flag(kCy, !flag(kCy)); break;              // CPL C
     case 0xC2: bit_write(fetch(), false); break;              // CLR bit
@@ -636,35 +619,31 @@ int Core8051::execute() {
 
     // ---- data moves --------------------------------------------------------------
     case 0x74: set_a(fetch()); break;
-    case 0x75: { const std::uint8_t d = fetch(); direct_write(d, fetch()); cycles = 2; break; }
+    case 0x75: { const std::uint8_t d = fetch(); direct_write(d, fetch()); break; }
     case 0x76: case 0x77: iram_[r(op & 1)] = fetch(); break;
     case 0x78: case 0x79: case 0x7A: case 0x7B:
     case 0x7C: case 0x7D: case 0x7E: case 0x7F: set_r(op & 7, fetch()); break;
     case 0x85: {  // MOV dir,dir — source operand first in the encoding
       const std::uint8_t src = fetch(), dst = fetch();
       direct_write(dst, direct_read(src));
-      cycles = 2;
       break;
     }
-    case 0x86: case 0x87: { const std::uint8_t d = fetch(); direct_write(d, iram_[r(op & 1)]); cycles = 2; break; }
+    case 0x86: case 0x87: { const std::uint8_t d = fetch(); direct_write(d, iram_[r(op & 1)]); break; }
     case 0x88: case 0x89: case 0x8A: case 0x8B:
     case 0x8C: case 0x8D: case 0x8E: case 0x8F: {
       const std::uint8_t d = fetch();
       direct_write(d, r(op & 7));
-      cycles = 2;
       break;
     }
     case 0x90: {  // MOV DPTR,#imm16
       const std::uint8_t hi = fetch(), lo = fetch();
       set_dptr(static_cast<std::uint16_t>(hi << 8 | lo));
-      cycles = 2;
       break;
     }
-    case 0xA6: case 0xA7: iram_[r(op & 1)] = direct_read(fetch()); cycles = 2; break;
+    case 0xA6: case 0xA7: iram_[r(op & 1)] = direct_read(fetch()); break;
     case 0xA8: case 0xA9: case 0xAA: case 0xAB:
     case 0xAC: case 0xAD: case 0xAE: case 0xAF:
       set_r(op & 7, direct_read(fetch()));
-      cycles = 2;
       break;
     case 0xE5: set_a(direct_read(fetch())); break;
     case 0xE6: case 0xE7: set_a(iram_[r(op & 1)]); break;
@@ -678,26 +657,22 @@ int Core8051::execute() {
     // ---- code / external memory ----------------------------------------------------
     case 0x83:  // MOVC A,@A+PC
       set_a(code_[static_cast<std::uint16_t>(pc_ + a())]);
-      cycles = 2;
       break;
     case 0x93:  // MOVC A,@A+DPTR
       set_a(code_[static_cast<std::uint16_t>(dptr() + a())]);
-      cycles = 2;
       break;
-    case 0xE0: set_a(xdata_read(dptr())); cycles = 2; break;  // MOVX A,@DPTR
+    case 0xE0: set_a(xdata_read(dptr())); break;  // MOVX A,@DPTR
     case 0xE2: case 0xE3:  // MOVX A,@Ri — P2 supplies the page
       set_a(xdata_read(static_cast<std::uint16_t>(sfr_raw(sfr::P2) << 8 | r(op & 1))));
-      cycles = 2;
       break;
-    case 0xF0: xdata_write(dptr(), a()); cycles = 2; break;   // MOVX @DPTR,A
+    case 0xF0: xdata_write(dptr(), a()); break;   // MOVX @DPTR,A
     case 0xF2: case 0xF3:
       xdata_write(static_cast<std::uint16_t>(sfr_raw(sfr::P2) << 8 | r(op & 1)), a());
-      cycles = 2;
       break;
 
     // ---- stack ------------------------------------------------------------------------
-    case 0xC0: push(direct_read(fetch())); cycles = 2; break;
-    case 0xD0: direct_write(fetch(), pop()); cycles = 2; break;
+    case 0xC0: push(direct_read(fetch())); break;
+    case 0xD0: direct_write(fetch(), pop()); break;
 
     // ---- exchanges ----------------------------------------------------------------------
     case 0xC5: {
@@ -735,7 +710,6 @@ int Core8051::execute() {
       const auto rel = static_cast<std::int8_t>(fetch());
       set_flag(kCy, a() < imm);
       if (a() != imm) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0xB5: {  // CJNE A,dir,rel
@@ -743,7 +717,6 @@ int Core8051::execute() {
       const auto rel = static_cast<std::int8_t>(fetch());
       set_flag(kCy, a() < val);
       if (a() != val) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0xB6: case 0xB7: {  // CJNE @Ri,#imm,rel
@@ -752,7 +725,6 @@ int Core8051::execute() {
       const auto rel = static_cast<std::int8_t>(fetch());
       set_flag(kCy, val < imm);
       if (val != imm) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0xB8: case 0xB9: case 0xBA: case 0xBB:
@@ -762,7 +734,6 @@ int Core8051::execute() {
       const auto rel = static_cast<std::int8_t>(fetch());
       set_flag(kCy, val < imm);
       if (val != imm) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0xD5: {  // DJNZ dir,rel
@@ -771,7 +742,6 @@ int Core8051::execute() {
       const std::uint8_t v = static_cast<std::uint8_t>(direct_read(d) - 1);
       direct_write(d, v);
       if (v != 0) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
     case 0xD8: case 0xD9: case 0xDA: case 0xDB:
@@ -780,14 +750,12 @@ int Core8051::execute() {
       const std::uint8_t v = static_cast<std::uint8_t>(r(op & 7) - 1);
       set_r(op & 7, v);
       if (v != 0) pc_ = static_cast<std::uint16_t>(pc_ + rel);
-      cycles = 2;
       break;
     }
 
     case 0xA5:  // reserved — executes as NOP on most cores
       break;
   }
-  return cycles;
 }
 
 }  // namespace ascp::mcu

@@ -230,7 +230,7 @@ class Core8051 {
   bool service_interrupts();
   void jump_to_isr(std::uint16_t vector, bool high_priority);
 
-  int execute();  ///< decode+execute one instruction, returns cycles
+  void execute();  ///< decode+execute one instruction (cycles come from mcu/isa)
 };
 
 }  // namespace ascp::mcu

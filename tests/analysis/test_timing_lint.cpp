@@ -166,6 +166,25 @@ TEST(Wcet, CjneIncrementIdiomIsInferred) {
   EXPECT_EQ(entry->cycles, 16);
 }
 
+TEST(Wcet, CounterWrittenInsideTheLoopDefeatsInference) {
+  // Each body writes the loop counter through a different operand form (the
+  // ISA table's write flags): Rn, its bank-0 direct alias, XCH, and a direct
+  // counter. None of these loops may be given an inferred bound.
+  const char* bodies[] = {
+      "        MOV R2,#10\nlp:     MOV R2,A\n        DJNZ R2,lp\n",
+      "        MOV R2,#10\nlp:     MOV 02h,A\n        DJNZ R2,lp\n",
+      "        MOV R2,#10\nlp:     XCH A,R2\n        DJNZ R2,lp\n",
+      "        MOV 30h,#10\nlp:     POP 30h\n        DJNZ 30h,lp\n",
+  };
+  for (const char* body : bodies) {
+    const auto w = analyze_wcet(make_fw(std::string(body) + "done:   SJMP done\n"));
+    EXPECT_TRUE(w.report.mentions("loop-bound")) << body;
+    const auto* entry = find_kind(w, FunctionWcet::Kind::TopLevel);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_FALSE(entry->bounded) << body;
+  }
+}
+
 TEST(Wcet, AnnotatedBoundIsHonored) {
   const auto w = analyze_wcet(make_fw("start:  MOV A,#0C3h\n"
                                       "lp:     RRC A\n"
@@ -219,6 +238,21 @@ TEST(Wcet, CacheMissPenaltyChargedPerDataWindowAccess) {
   // Without the cache model the same code costs 2.
   const auto plain = analyze_wcet(fw);
   EXPECT_EQ(find_kind(plain, FunctionWcet::Kind::TopLevel)->cycles, 2);
+}
+
+TEST(Wcet, CacheMissPenaltyChargedForSubbOnDataWindow) {
+  // SUBB A,dir reads its direct operand like every other `op A,dir` form, so
+  // a CDATA operand is a cache access too.
+  TimingOptions opt;
+  opt.cache_miss_penalty = 34;
+  opt.cache_data_sfr = 0xA4;
+  const auto fw = make_fw("        SUBB A,0A4h\n"
+                          "done:   SJMP done\n");
+  const auto w = analyze_wcet(fw, opt);
+  EXPECT_TRUE(w.report.clean());
+  const auto* entry = find_kind(w, FunctionWcet::Kind::TopLevel);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->cycles, 35);  // 1 + 34
 }
 
 TEST(Wcet, CallsComposeAndRoutineIncludesItsRet) {

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "analysis/firmware_corpus.hpp"
 #include "common/rng.hpp"
 #include "mcu/assembler.hpp"
+#include "mcu/bootrom.hpp"
+#include "mcu/bus.hpp"
 #include "mcu/core8051.hpp"
 #include "mcu/disassembler.hpp"
 #include "mcu/monitor_rom.hpp"
@@ -132,6 +136,22 @@ TEST(IssFuzz, MonitorRomRoundTripsThroughDisassembler) {
   const auto again = Assembler().assemble(listing).image;
   ASSERT_EQ(again.size(), image.size());
   ASSERT_EQ(again, image);
+
+  // Every shipped image (boot ROM, monitor ROM and the firmware corpus),
+  // placed at its load address: assemble → disassemble → assemble must give
+  // the same bytes, code and embedded data alike.
+  for (const auto& fw : analysis::corpus::shipped_firmware()) {
+    std::vector<std::uint8_t> code(fw.base, 0x00);
+    code.insert(code.end(), fw.image.begin(), fw.image.end());
+    const std::string text =
+        disassemble_range(code, fw.base, static_cast<std::uint16_t>(code.size()));
+    EXPECT_EQ(Assembler().assemble(text).image, code) << fw.name << "\n" << text;
+  }
+  const auto boot = BootRom::image();
+  EXPECT_EQ(Assembler()
+                .assemble(disassemble_range(boot, 0, static_cast<std::uint16_t>(boot.size())))
+                .image,
+            boot);
 }
 
 TEST(IssFuzz, EveryDefinedOpcodeDecodesAndRoundTrips) {
@@ -140,15 +160,65 @@ TEST(IssFuzz, EveryDefinedOpcodeDecodesAndRoundTrips) {
   for (int op = 0; op < 256; ++op) {
     std::vector<std::uint8_t> image = {static_cast<std::uint8_t>(op), 0x34, 0x00};
     // Bit operands must name a legal bit address (0x34 is fine: iram 0x26.4).
-    const auto insn = disassemble_one(image, 0);
-    ASSERT_GE(insn.size, 1);
-    ASSERT_LE(insn.size, 3);
-    image.resize(static_cast<std::size_t>(insn.size));
+    const auto insn = decode(image, 0, 0);
+    ASSERT_GE(insn.length, 1);
+    ASSERT_LE(insn.length, 3);
+    image.resize(static_cast<std::size_t>(insn.length));
     const auto again =
-        Assembler().assemble("ORG 0x0000\n" + insn.text + "\n").image;
+        Assembler().assemble("ORG 0x0000\n" + insn.text() + "\n").image;
     ASSERT_EQ(again, image) << "opcode " << hex8(static_cast<std::uint8_t>(op)) << " -> "
-                            << insn.text;
+                            << insn.text();
   }
+}
+
+TEST(IssFuzz, BranchesWrappingThePcRoundTrip) {
+  // A backward branch near address 0 decodes to a target at the top of the
+  // 64 KiB space, as the silicon's wrapping PC would reach it.
+  const std::vector<std::uint8_t> image = {0x80, 0xF0, 0x70, 0x80};  // SJMP / JNZ
+  const std::string listing = disassemble_range(image, 0, 4);
+  EXPECT_EQ(Assembler().assemble(listing).image, image) << listing;
+}
+
+TEST(IssFuzz, ExecutionAgreesWithTableLengthsAndTargets) {
+  // Table vs ISS *execution*: one step() of every opcode lands where the
+  // table says — the next instruction for Seq, the decoded target for
+  // Jump/Call, either of the two for CondJump. Operand bytes 0x42, 0x03 keep
+  // MOVX on the RAM-backed bus and branch targets distinct from fall-through.
+  for (int op = 0; op < 256; ++op) {
+    const std::vector<std::uint8_t> image = {static_cast<std::uint8_t>(op), 0x42, 0x03};
+    Core8051 core;
+    BridgedBus bus(4096);
+    core.set_xdata_bus(&bus);
+    core.load_program(image);
+    const Insn insn = decode(image, 0, 0);
+    core.step();
+    const auto next = static_cast<std::uint16_t>(insn.length);
+    const std::string what = insn.text();
+    switch (insn.flow) {
+      case Flow::Seq: EXPECT_EQ(core.pc(), next) << what; break;
+      case Flow::Jump:
+      case Flow::Call: EXPECT_EQ(core.pc(), insn.target) << what; break;
+      case Flow::CondJump:
+        EXPECT_TRUE(core.pc() == next || core.pc() == insn.target) << what << " pc " << core.pc();
+        break;
+      default: break;  // RET/RETI/JMP @A+DPTR targets come from run-time state
+    }
+  }
+}
+
+TEST(IssFuzz, TableCensusMatchesTheMcs51Map) {
+  // The ISS charges cycles from the table itself, so this census is the
+  // check on the table's figures: the MCS-51 map has 2 four-cycle opcodes
+  // (MUL, DIV), 92 two-cycle and 162 one-cycle ones, and 24 three-byte, 91
+  // two-byte and 141 one-byte encodings (reserved 0xA5 counts as 1 byte,
+  // 1 cycle).
+  std::map<int, int> cycles, lengths;
+  for (int op = 0; op < 256; ++op) {
+    ++cycles[op_info(static_cast<std::uint8_t>(op)).cycles];
+    ++lengths[op_info(static_cast<std::uint8_t>(op)).length];
+  }
+  EXPECT_EQ(cycles, (std::map<int, int>{{1, 162}, {2, 92}, {4, 2}}));
+  EXPECT_EQ(lengths, (std::map<int, int>{{1, 141}, {2, 91}, {3, 24}}));
 }
 
 }  // namespace
