@@ -54,11 +54,10 @@ void StateArchive::get(std::uint8_t* p, std::size_t n) {
   pos_ += n;
 }
 
-void StateArchive::guard_count(std::uint64_t n, std::size_t elem_size) const {
+void StateArchive::guard_count(std::uint64_t n) const {
   // A corrupted length prefix must fail as StateError, not as a gigabyte
   // allocation. Every element needs at least one encoded byte.
-  const std::size_t min_bytes = (elem_size == 0) ? 1 : 1;
-  if (n * min_bytes > limit() - pos_)
+  if (n > limit() - pos_)
     throw StateError("archive count " + std::to_string(n) +
                      " exceeds remaining bytes at offset " +
                      std::to_string(pos_));
@@ -119,7 +118,7 @@ void StateArchive::value(std::vector<std::uint8_t>& v) {
   std::uint64_t n = v.size();
   value(n);
   if (!saving_) {
-    guard_count(n, 1);
+    guard_count(n);
     v.resize(static_cast<std::size_t>(n));
   }
   if (n) bytes(v.data(), static_cast<std::size_t>(n));
@@ -141,7 +140,7 @@ void StateArchive::value(std::deque<std::uint8_t>& v) {
   std::uint64_t n = v.size();
   value(n);
   if (!saving_) {
-    guard_count(n, 1);
+    guard_count(n);
     v.resize(static_cast<std::size_t>(n));
   }
   for (auto& b : v) value(b);

@@ -81,7 +81,7 @@ class StateArchive {
     std::uint64_t n = v.size();
     value(n);
     if (!saving_) {
-      guard_count(n, sizeof(T));
+      guard_count(n);
       v.resize(static_cast<std::size_t>(n));
     }
     for (auto& e : v) value(e);
@@ -109,7 +109,7 @@ class StateArchive {
   std::size_t limit() const { return limits_.empty() ? size_ : limits_.back(); }
   void put(const std::uint8_t* p, std::size_t n);
   void get(std::uint8_t* p, std::size_t n);
-  void guard_count(std::uint64_t n, std::size_t elem_size) const;
+  void guard_count(std::uint64_t n) const;
 
   template <typename U>
   void scalar(U& v) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/calibration.hpp"
 #include "platform/selftest.hpp"
@@ -150,10 +151,6 @@ void GyroSystem::build(std::uint64_t seed) {
   last_output_ = cfg_.sense.output_offset;
   base_ticks_ = 0;
   dsp_samples_ = 0;
-  blk_ss_.clear();
-  blk_ci_.clear();
-  blk_cq_.clear();
-  blk_target_ = 0;
   obs_pll_prev_ = obs_agc_prev_ = obs_pll_ever_ = false;
   if (supervisor_) supervisor_->reset();
 }
@@ -278,22 +275,6 @@ void GyroSystem::post_status(double measured_temp) {
                  static_cast<std::uint16_t>(static_cast<std::int16_t>(measured_temp * 8.0)));
 }
 
-bool GyroSystem::can_batch_sense() {
-  // Closed loop feeds the control effort back into the plant every sample;
-  // a supervisor, fault campaign, trace tap or firmware monitor observes
-  // per-sample state. Any of those forces the sample-serial path.
-  return sense_->config().mode == SenseMode::OpenLoop && !supervisor_ && !campaign_ &&
-         !trace_ && !cfg_.with_mcu;
-}
-
-void GyroSystem::flush_sense_block() {
-  if (blk_ss_.empty()) return;
-  sense_->step_block(blk_ss_, blk_ci_, blk_cq_);
-  blk_ss_.clear();
-  blk_ci_.clear();
-  blk_cq_.clear();
-}
-
 void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
                                    sensor::StimulusSource& src, std::vector<double>* out) {
   const bool full = cfg_.fidelity == Fidelity::Full;
@@ -339,17 +320,21 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
       },
       "analog");
 
-  // ---- ideal sampling (240 kHz): the MATLAB level has no AFE, so the
-  // scheduler provides the ADC cadence (phase-aligned with a SAR finishing
-  // its conversion cycle on the adc_div-th clock) -------------------------
-  // The phase keeps the *global* conversion cadence (g % adc_div ==
-  // adc_div-1) even when one timeline is split across several run() calls
-  // (checkpoint resume): base_ticks_ here is this run's tick origin. From a
-  // cold start the expression reduces to the historical adc_div-1.
+  // ---- DSP-rate cadence (240 kHz) ----------------------------------------
+  // Every DSP-rate task fires on the tick a SAR converter finishes its
+  // conversion cycle (its adc_div-th clock). The phase keeps the *global*
+  // conversion cadence (g % adc_div == adc_div-1) even when one timeline is
+  // split across several run() calls (checkpoint resume): base_ticks_ here
+  // is this run's tick origin. From a cold start the expression reduces to
+  // adc_div-1.
+  const long adc_div = cfg_.adc_div;
+  const long adc_phase = (adc_div - 1 - base_ticks_ % adc_div + adc_div) % adc_div;
+
+  // ---- ideal sampling: the MATLAB level has no AFE, so the scheduler
+  // provides the ADC cadence ---------------------------------------------
   if (!full)
     sched.every(
-        cfg_.adc_div,
-        (cfg_.adc_div - 1 - base_ticks_ % cfg_.adc_div + cfg_.adc_div) % cfg_.adc_div,
+        adc_div, adc_phase,
         [this, &st] {
           st.sp = ideal_gain_primary_ * st.pick.dc_primary;
           st.ss = ideal_gain_sense_ * st.pick.dc_sense;
@@ -386,61 +371,36 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
   // ---- fault campaign (per DSP sample): the sample counter is the fault
   // time base, so it advances here even with no campaign attached ---------
   sched.every(
-      1,
+      adc_div, adc_phase,
       [this, &st] {
-        if (!st.sp) return;
+        // The AFE's SAR decimators and the scheduler's phase must agree; a
+        // drift would otherwise silently drop or duplicate DSP samples.
+        if (!st.sp) throw std::logic_error("DSP-rate task fired without an ADC sample");
         ++dsp_samples_;
         if (obs_.metrics) obs_.metrics->add(obs_m_dsp_);
         if (campaign_) campaign_->step(dsp_samples_);
       },
       "fault_campaign");
 
-  // ---- DSP sample rate (240 kHz): drive servo + sense conditioning ------
-  if (can_batch_sense()) {
-    // Open-loop batched path: the sense chain has no feedback into the
-    // plant, so pickoff/carrier samples accumulate and flush through the
-    // kernels' block variants. Blocks are sized so every flush lands
-    // exactly on a CIC completion — the output stage below then sees slow
-    // samples on the same ticks as the sample-serial path (bit-identical).
-    sched.every(
-        1,
-        [this, &st, full] {
-          if (!st.sp) return;
-          drive_v_ = drive_->step(*st.sp);
-          if (blk_ss_.empty()) blk_target_ = sense_->samples_until_slow();
-          blk_ss_.push_back(*st.ss);
-          blk_ci_.push_back(drive_->carrier_i());
-          blk_cq_.push_back(drive_->carrier_q());
-          ctrl_v_ = 0.0;  // open loop: the force-feedback servo is disengaged
-          if (full) {
-            dac_drive_->write_volts(drive_v_);
-            dac_ctrl_->write_volts(ctrl_v_);
-          }
-          if (static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
-        },
-        "dsp_batched");
-  } else {
-    sched.every(
-        1,
-        [this, &st, full] {
-          if (!st.sp) return;
-          drive_v_ = drive_->step(*st.sp);
-          const auto fast = sense_->step(*st.ss, drive_->carrier_i(), drive_->carrier_q());
-          ctrl_v_ = fast.control_v;
-          if (full) {
-            dac_drive_->write_volts(drive_v_);
-            dac_ctrl_->write_volts(ctrl_v_);
-          }
-        },
-        "dsp");
-  }
+  // ---- DSP sample rate: drive servo + sense conditioning -----------------
+  sched.every(
+      adc_div, adc_phase,
+      [this, &st, full] {
+        drive_v_ = drive_->step(*st.sp);
+        const auto fast = sense_->step(*st.ss, drive_->carrier_i(), drive_->carrier_q());
+        ctrl_v_ = fast.control_v;
+        if (full) {
+          dac_drive_->write_volts(drive_v_);
+          dac_ctrl_->write_volts(ctrl_v_);
+        }
+      },
+      "dsp");
 
   // ---- safety supervisor (per DSP sample) -------------------------------
   if (supervisor_)
     sched.every(
-        1,
+        adc_div, adc_phase,
         [this, &st] {
-          if (!st.sp) return;
           safety::FastSample fsmp;
           fsmp.primary_adc_v = *st.sp;
           fsmp.sense_adc_v = st.ss ? *st.ss : 0.0;
@@ -460,9 +420,8 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
   // the same task set as before the telemetry subsystem existed.
   if (obs_.events)
     sched.every(
-        1,
+        adc_div, adc_phase,
         [this, &st] {
-          if (!st.sp) return;
           const double t = static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div);
           const bool pll = drive_->pll_locked();
           if (pll != obs_pll_prev_) {
@@ -491,9 +450,8 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
   // ---- trace tap (per DSP sample) ---------------------------------------
   if (trace_)
     sched.every(
-        1,
+        adc_div, adc_phase,
         [this, &st] {
-          if (!st.sp) return;
           trace_->push("amplitude_control", drive_->amplitude_control());
           trace_->push("phase_error", drive_->phase_error());
           trace_->push("amplitude_error", drive_->amplitude_error());
@@ -505,9 +463,8 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
   // ---- decimated output rate (1.875 kHz) + MCU monitor slice ------------
   const bool probe_out = probe_ && probe_->wants(sensor::ProbePoint::DecimatedOutput);
   sched.every(
-      1,
+      adc_div, adc_phase,
       [this, &st, out, probe_out] {
-        if (!st.sp) return;
         // The temperature sensor is read every DSP sample (its noise stream
         // is part of the sample clock domain); the CIC decides when a slow
         // sample completes.
@@ -660,9 +617,6 @@ void GyroSystem::run(sensor::StimulusSource& src, double seconds, std::vector<do
   sched.run_seconds(seconds);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  // Batched open-loop runs may end mid-block; push the tail through so the
-  // chain's observable state matches the sample-serial path at return.
-  flush_sense_block();
   run_span.close(t_sim0 + seconds, wall * 1e6);
   if (obs_.tasks) obs_.tasks->record_run(seconds, wall);
   if (obs_.metrics) obs_.metrics->add(obs_m_runs_);

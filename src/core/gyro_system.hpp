@@ -187,13 +187,11 @@ class GyroSystem : public RateSensor {
   void post_status(double measured_temp);
   /// Registers the multi-rate conditioning pipeline on `sched`: analog tick
   /// → ADC sampling → fault campaign → DSP → supervisor → trace → decimated
-  /// output + MCU slice, one scheduler task per stage, in that order.
+  /// output + MCU slice, one scheduler task per stage, in that order. Every
+  /// stage after the analog tick and its probe tap runs at the ADC rate
+  /// (divider adc_div, on the SAR conversion phase).
   void schedule_pipeline(platform::Scheduler& sched, TickState& st,
                          sensor::StimulusSource& src, std::vector<double>* out);
-  /// True when the open-loop batched sense path applies (no per-sample
-  /// observers: supervisor, campaign, trace, MCU).
-  bool can_batch_sense();
-  void flush_sense_block();
   /// Watchdog-bite recovery: self-test, calibration replay from EEPROM,
   /// drive re-acquisition, watchdog re-arm. Chained off the platform reset
   /// hook — fires right after the watchdog has reset the CPU.
@@ -237,11 +235,6 @@ class GyroSystem : public RateSensor {
   TraceRecorder* trace_ = nullptr;
   std::size_t trace_decimate_ = 16;
   sensor::Probe* probe_ = nullptr;
-
-  // Open-loop batched sense path: pending (pickoff, carrier) samples and the
-  // block size that makes the next flush coincide with a CIC completion.
-  std::vector<double> blk_ss_, blk_ci_, blk_cq_;
-  long blk_target_ = 0;
 };
 
 }  // namespace ascp::core

@@ -263,7 +263,6 @@ BlackboxReplay replay_blackbox(const BlackboxImage& img, const ChannelConfig* ba
 
   BlackboxReplay rep;
   auto channel = std::make_unique<ConditioningChannel>(cfg);
-  std::int64_t from_tick = 0;
   if (!img.checkpoint.empty()) {
     // A well-framed image of another format version is not corruption: it
     // would resume a stream this build does not draw, and a cold replay
@@ -273,18 +272,15 @@ BlackboxReplay replay_blackbox(const BlackboxImage& img, const ChannelConfig* ba
     try {
       channel->restore(img.checkpoint);
       rep.checkpoint_used = true;
-      from_tick = channel->ticks_advanced();
     } catch (const StateError&) {
       // Same demotion the supervisor applies: detected corruption → cold
       // rebuild and full replay from tick zero.
       rep.checkpoint_corrupt = true;
       channel = std::make_unique<ConditioningChannel>(cfg);
-      from_tick = 0;
     }
   }
   if (channel->ticks_advanced() > img.crash_ticks)
     throw StateError("blackbox checkpoint is beyond the crash tick");
-  (void)from_tick;
   channel->advance(static_cast<long>(img.crash_ticks) - channel->ticks_advanced());
   rep.replay_ticks = channel->ticks_advanced();
   rep.replay_hash = channel->output_hash();

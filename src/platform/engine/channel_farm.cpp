@@ -1,12 +1,19 @@
 #include "platform/engine/channel_farm.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "common/rng.hpp"
 
 namespace ascp::engine {
 
-ChannelFarm::ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg) {
+// A worker per channel is the useful maximum; a single worker is the calling
+// thread (no pool at all).
+ChannelFarm::ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg)
+    : threads_(cfg.threads != 0 ? cfg.threads
+                                : std::max(1u, std::thread::hardware_concurrency())),
+      pool_(static_cast<unsigned>(std::min<std::size_t>(threads_, specs.size()))) {
   metrics_ = cfg.shared_metrics;
   if (metrics_) {
     m_advances_ = metrics_->counter("farm.channel_advances");
@@ -23,26 +30,6 @@ ChannelFarm::ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg
     channels_.push_back(std::make_unique<ConditioningChannel>(specs[i]));
     slots_.push_back(std::make_unique<Slot>());
   }
-
-  threads_ = cfg.threads != 0 ? cfg.threads : std::max(1u, std::thread::hardware_concurrency());
-  // A worker per channel is the useful maximum; a single worker is the
-  // calling thread (no pool at all), which doubles as the reference
-  // configuration the determinism tests compare against.
-  const unsigned pool_size =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, channels_.size()));
-  if (pool_size > 1) {
-    pool_.reserve(pool_size);
-    for (unsigned k = 0; k < pool_size; ++k) pool_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ChannelFarm::~ChannelFarm() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : pool_) t.join();
 }
 
 void ChannelFarm::advance_channel(std::size_t i, double seconds) {
@@ -79,45 +66,8 @@ void ChannelFarm::advance_channel(std::size_t i, double seconds) {
 }
 
 void ChannelFarm::advance(double seconds) {
-  if (pool_.empty()) {
-    for (std::size_t i = 0; i < channels_.size(); ++i) advance_channel(i, seconds);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    pending_seconds_ = seconds;
-    cursor_.store(0, std::memory_order_relaxed);
-    active_ = pool_.size();
-    ++generation_;
-  }
-  cv_work_.notify_all();
-
-  std::unique_lock<std::mutex> lk(m_);
-  cv_done_.wait(lk, [this] { return active_ == 0; });
-}
-
-void ChannelFarm::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    double seconds;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      seconds = pending_seconds_;
-    }
-
-    std::size_t i;
-    while ((i = cursor_.fetch_add(1, std::memory_order_relaxed)) < channels_.size())
-      advance_channel(i, seconds);
-
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      if (--active_ == 0) cv_done_.notify_one();
-    }
-  }
+  pool_.run(channels_.size(),
+            [this, seconds](std::size_t i, unsigned) { advance_channel(i, seconds); });
 }
 
 std::size_t ChannelFarm::total_samples() const {

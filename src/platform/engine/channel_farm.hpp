@@ -15,15 +15,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "platform/engine/conditioning_channel.hpp"
+#include "platform/engine/worker_pool.hpp"
 
 namespace ascp::engine {
 
@@ -52,7 +50,6 @@ class ChannelFarm {
   /// Builds one channel per spec. Each spec's `seed` field is overwritten
   /// with the farm-derived stream for its index (see FarmConfig::root_seed).
   ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg);
-  ~ChannelFarm();
 
   ChannelFarm(const ChannelFarm&) = delete;
   ChannelFarm& operator=(const ChannelFarm&) = delete;
@@ -99,7 +96,6 @@ class ChannelFarm {
     std::string error;
   };
 
-  void worker_loop();
   void advance_channel(std::size_t i, double seconds);
 
   std::vector<std::unique_ptr<ConditioningChannel>> channels_;
@@ -110,18 +106,9 @@ class ChannelFarm {
   obs::MetricRegistry::Id m_advances_ = 0, m_samples_ = 0, m_exceptions_ = 0;
   obs::MetricRegistry::Id h_ticks_ = 0;
 
-  // Pool coordination: advance() publishes the time quantum under the mutex
-  // and bumps the generation; workers race down the atomic cursor, and the
-  // last one out signals completion. Channel work runs with no lock held.
-  std::vector<std::thread> pool_;
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  double pending_seconds_ = 0.0;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t active_ = 0;
-  bool stop_ = false;
+  // Declared last: its threads call advance_channel(), which reads the
+  // members above, so it is destroyed (and joined) first.
+  WorkerPool pool_;
 };
 
 }  // namespace ascp::engine

@@ -33,7 +33,8 @@ const char* channel_health_name(ChannelHealth h) {
 }
 
 FleetSupervisor::FleetSupervisor(std::vector<FleetChannelSpec> specs, const FleetConfig& cfg)
-    : cfg_(cfg) {
+    : cfg_(cfg),
+      pool_(static_cast<unsigned>(std::min<std::size_t>(cfg.threads, specs.size()))) {
   if (cfg_.events) {
     cfg_.events->declare_emitter(obs::EventCategory::Engine, "FleetSupervisor");
     cfg_.events->declare_emitter(obs::EventCategory::Recorder, "FleetSupervisor");
@@ -65,16 +66,9 @@ FleetSupervisor::FleetSupervisor(std::vector<FleetChannelSpec> specs, const Flee
     states_.push_back(std::move(st));
   }
 
-  const unsigned pool_size = static_cast<unsigned>(
-      std::min<std::size_t>(cfg_.threads > 1 ? cfg_.threads : 1, states_.size()));
-  heartbeats_.reserve(std::max<unsigned>(pool_size, 1));
-  for (unsigned k = 0; k < std::max<unsigned>(pool_size, 1); ++k)
+  heartbeats_.reserve(pool_.workers());
+  for (unsigned k = 0; k < pool_.workers(); ++k)
     heartbeats_.push_back(std::make_unique<Heartbeat>());
-  if (pool_size > 1) {
-    pool_.reserve(pool_size);
-    for (unsigned k = 0; k < pool_size; ++k)
-      pool_.emplace_back([this, k] { worker_loop(k); });
-  }
 
   if (cfg_.tick_deadline_ms > 0.0) {
     watchdog_ = std::thread([this] {
@@ -103,12 +97,6 @@ FleetSupervisor::FleetSupervisor(std::vector<FleetChannelSpec> specs, const Flee
 FleetSupervisor::~FleetSupervisor() {
   watchdog_stop_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : pool_) t.join();
 }
 
 double FleetSupervisor::now_sim() const {
@@ -228,25 +216,6 @@ void FleetSupervisor::advance_one(std::size_t i, unsigned worker_index) {
   hb.channel.store(-1, std::memory_order_release);
 }
 
-void FleetSupervisor::worker_loop(unsigned worker_index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-    }
-    std::size_t k;
-    while ((k = cursor_.fetch_add(1, std::memory_order_relaxed)) < runnable_.size())
-      advance_one(runnable_[k], worker_index);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      if (--active_ == 0) cv_done_.notify_one();
-    }
-  }
-}
-
 void FleetSupervisor::run_one_tick() {
   // The tick span brackets the whole supervisory cycle (advance + failure
   // handling + drain + checkpoint), so incident spans opened mid-tick parent
@@ -285,19 +254,8 @@ void FleetSupervisor::run_one_tick() {
          {{"wall_ms", last_tick_wall_ms_}, {"budget_ms", cfg_.realtime_budget_ms}});
 
   const auto wall0 = std::chrono::steady_clock::now();
-  if (pool_.empty()) {
-    for (std::size_t k = 0; k < runnable_.size(); ++k) advance_one(runnable_[k], 0);
-  } else {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      cursor_.store(0, std::memory_order_relaxed);
-      active_ = pool_.size();
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    std::unique_lock<std::mutex> lk(m_);
-    cv_done_.wait(lk, [this] { return active_ == 0; });
-  }
+  pool_.run(runnable_.size(),
+            [this](std::size_t k, unsigned worker) { advance_one(runnable_[k], worker); });
   last_tick_wall_ms_ =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
           .count();

@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -49,6 +48,7 @@
 
 #include "obs/observability.hpp"
 #include "platform/engine/conditioning_channel.hpp"
+#include "platform/engine/worker_pool.hpp"
 
 namespace ascp::engine {
 
@@ -215,7 +215,6 @@ class FleetSupervisor {
     std::atomic<bool> flagged{false};
   };
 
-  void worker_loop(unsigned worker_index);
   void advance_one(std::size_t i, unsigned worker_index);
   void run_one_tick();
   void handle_failures();
@@ -247,16 +246,8 @@ class FleetSupervisor {
   // Tick work list (indices of channels advancing this tick).
   std::vector<std::size_t> runnable_;
 
-  // Worker pool (created when cfg.threads > 1), ChannelFarm-style barrier.
-  std::vector<std::thread> pool_;
+  // One heartbeat per pool worker.
   std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t active_ = 0;
-  bool stop_ = false;
 
   // Watchdog thread + its detection journal (consumed by the supervisor
   // thread after each tick).
@@ -270,6 +261,10 @@ class FleetSupervisor {
   std::vector<StallRecord> stall_log_;
 
   double last_tick_wall_ms_ = 0.0;
+
+  // Declared last: its threads call advance_one(), which reads the members
+  // above, so it is destroyed (and joined) first.
+  WorkerPool pool_;
 };
 
 }  // namespace ascp::engine

@@ -1,8 +1,9 @@
 // Static WCET & schedulability analyzer (analysis/timing_lint).
 //
 // The analyzer's soundness rests on three legs, each tested here:
-//   1. the per-opcode cycle table agrees with core8051::step() for every one
-//      of the 256 opcodes (exhaustive differential test, not a sample);
+//   1. core8051::step(), the WCET cycle model and the decoder agree with a
+//      datasheet table typed into this file for every one of the 256
+//      opcodes (exhaustive, not a sample);
 //   2. loop bounds: counted DJNZ/CJNE inference, ;@loop-bound/;@loop-wait
 //      annotations (including their parse errors), and the hard error on a
 //      back edge with neither;
@@ -13,15 +14,19 @@
 // dynamically against the ISS).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/firmware_corpus.hpp"
 #include "analysis/timing_lint.hpp"
 #include "mcu/assembler.hpp"
 #include "mcu/bus.hpp"
 #include "mcu/core8051.hpp"
+#include "mcu/disassembler.hpp"
 
 namespace ascp::analysis {
 namespace {
@@ -48,20 +53,70 @@ const FunctionWcet* find_kind(const WcetResult& w, FunctionWcet::Kind k) {
 
 // ---- 1. cycle table ---------------------------------------------------------
 
+// Machine cycles and encoded bytes of every opcode, typed from the Intel
+// MCS-51 instruction-set tables (row = high nibble, column = low nibble).
+// Deliberately independent of src/mcu/isa.cpp: the ISS, the decoder and
+// the WCET model all read that table, so comparing them with each other
+// cannot catch a wrong entry. 0xA5 (reserved) is a 1-byte, 1-cycle no-op.
+// clang-format off
+constexpr std::array<std::uint8_t, 256> kDatasheetCycles = {
+//0 1  2  3  4  5  6  7  8  9  A  B  C  D  E  F
+  1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 0x: NOP AJMP LJMP RR INC
+  2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 1x: JBC ACALL LCALL RRC DEC
+  2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 2x: JB AJMP RET RL ADD
+  2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 3x: JNB ACALL RETI RLC ADDC
+  2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 4x: JC AJMP ORL
+  2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 5x: JNC ACALL ANL
+  2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 6x: JZ AJMP XRL
+  2, 2, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 7x: JNZ ACALL ORL C JMP@ MOV#
+  2, 2, 2, 2, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // 8x: SJMP AJMP ANL C MOVC DIV MOV dir
+  2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 9x: MOV DPTR ACALL MOV bit MOVC SUBB
+  2, 2, 1, 2, 4, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // Ax: ORL C/ AJMP MOV C INC DPTR MUL - MOV
+  2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // Bx: ANL C/ ACALL CPL CJNE
+  2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Cx: PUSH AJMP CLR SWAP XCH
+  2, 2, 1, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2,  // Dx: POP ACALL SETB DA DJNZ XCHD
+  2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Ex: MOVX AJMP MOVX CLR MOV A
+  2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Fx: MOVX ACALL MOVX CPL MOV
+};
+constexpr std::array<std::uint8_t, 256> kDatasheetBytes = {
+//0 1  2  3  4  5  6  7  8  9  A  B  C  D  E  F
+  1, 2, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 0x
+  3, 2, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 1x
+  3, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 2x
+  3, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 3x
+  2, 2, 2, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 4x
+  2, 2, 2, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 5x
+  2, 2, 2, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 6x
+  2, 2, 2, 1, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // 7x
+  2, 2, 2, 1, 1, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // 8x
+  3, 2, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // 9x
+  2, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,  // Ax
+  2, 2, 2, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,  // Bx
+  2, 2, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Cx
+  2, 2, 2, 1, 1, 3, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2,  // Dx
+  1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Ex
+  1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,  // Fx
+};
+// clang-format on
+
 TEST(CycleTable, AgreesWithIssForAllOpcodes) {
   // Execute every opcode once on a fresh core (benign operand bytes, RAM-
   // backed XDATA bus so MOVX lands somewhere real) and compare the cycles
-  // step() charges with the static table. This is the exhaustive proof that
-  // the WCET base costs are exact, not approximate.
+  // step() charges, the WCET model's base cost and the decoder's length
+  // with the datasheet. This is the exhaustive proof that the WCET base
+  // costs are exact, not approximate.
   for (int op = 0; op < 256; ++op) {
+    const auto opcode = static_cast<std::uint8_t>(op);
     mcu::Core8051 core;
     mcu::BridgedBus bus(4096);
     core.set_xdata_bus(&bus);
-    core.load_program({static_cast<std::uint8_t>(op), 0x42, 0x03});
+    const std::vector<std::uint8_t> program = {opcode, 0x42, 0x03};
+    core.load_program(program);
     const int executed = core.step();
-    EXPECT_EQ(executed, opcode_cycles(static_cast<std::uint8_t>(op)))
-        << "opcode 0x" << std::hex << op;
-    EXPECT_EQ(static_cast<long>(executed), core.cycle_count())
+    EXPECT_EQ(executed, kDatasheetCycles[op]) << "opcode 0x" << std::hex << op;
+    EXPECT_EQ(opcode_cycles(opcode), kDatasheetCycles[op]) << "opcode 0x" << std::hex << op;
+    EXPECT_EQ(static_cast<long>(executed), core.cycle_count()) << "opcode 0x" << std::hex << op;
+    EXPECT_EQ(mcu::decode(program, 0, 0).length, kDatasheetBytes[op])
         << "opcode 0x" << std::hex << op;
   }
 }

@@ -1,6 +1,6 @@
 // Regression pins for latent-bug audits driven by the conformance fuzzer
-// (ISSUE PR-5 satellite): NCO phase-wrap bit-identity, the open-loop batched
-// sense path against the sample-serial path with a run ending mid-block,
+// (ISSUE PR-5 satellite): NCO phase-wrap bit-identity, a trace tap leaving
+// an open-loop run that ends mid-CIC-block unperturbed,
 // profiler neutrality under sampled wall-timing, and the cold-temperature
 // supervisor-arming corner that set the fault generator's injection floor.
 #include <gtest/gtest.h>
@@ -39,35 +39,34 @@ TEST(ConformanceRegressions, NcoBlockPathBitIdenticalThroughPhaseWraps) {
   ASSERT_EQ(scalar.step(), blocked.step());
 }
 
-// Second audit target: GyroSystem's open-loop batched sense path. A trace
-// tap is a read-only observer that forces the sample-serial path, so the two
-// runs must produce bit-identical decimated outputs — including when the run
-// ends mid-CIC-block (240000 × 0.0501 = 12024 samples; 12024 mod 128 = 120
-// pending samples flushed at run end without emitting a partial output).
-TEST(ConformanceRegressions, BatchedSensePathMatchesSerialWhenRunEndsMidBlock) {
+// Second audit target: a read-only trace tap on an open-loop run must not
+// perturb the decimated outputs — including when the run ends mid-CIC-block
+// (240000 × 0.0501 = 12024 samples; 12024 mod 128 = 120 samples left in the
+// decimator without emitting a partial output).
+TEST(ConformanceRegressions, TraceTapDoesNotPerturbRunEndingMidCicBlock) {
   core::GyroSystemConfig cfg = core::default_gyro_system(core::Fidelity::Ideal);
   cfg.sense.mode = core::SenseMode::OpenLoop;
   const auto rate = sensor::Profile::sine(80.0, 20.0);
   const auto temp = sensor::Profile::constant(25.0);
   constexpr double kDur = 0.0501;
 
-  core::GyroSystem batched(cfg);
-  batched.power_on(7);
-  std::vector<double> out_batched;
-  batched.run(rate, temp, kDur, &out_batched);
+  core::GyroSystem bare(cfg);
+  bare.power_on(7);
+  std::vector<double> out_bare;
+  bare.run(rate, temp, kDur, &out_bare);
 
-  core::GyroSystem serial(cfg);
+  core::GyroSystem traced(cfg);
   TraceRecorder trace;
-  serial.set_trace(&trace, 16);
-  serial.power_on(7);
-  std::vector<double> out_serial;
-  serial.run(rate, temp, kDur, &out_serial);
+  traced.set_trace(&trace, 16);
+  traced.power_on(7);
+  std::vector<double> out_traced;
+  traced.run(rate, temp, kDur, &out_traced);
 
-  ASSERT_FALSE(out_batched.empty());
-  ASSERT_EQ(out_batched.size(), out_serial.size());
-  for (std::size_t k = 0; k < out_batched.size(); ++k)
-    ASSERT_EQ(out_batched[k], out_serial[k]) << "sample " << k;
-  ASSERT_EQ(batched.last_output(), serial.last_output());
+  ASSERT_FALSE(out_bare.empty());
+  ASSERT_EQ(out_bare.size(), out_traced.size());
+  for (std::size_t k = 0; k < out_bare.size(); ++k)
+    ASSERT_EQ(out_bare[k], out_traced[k]) << "sample " << k;
+  ASSERT_EQ(bare.last_output(), traced.last_output());
 }
 
 // The profiler fix that the fuzzer's smoke budget forced: wall-timing is

@@ -2,8 +2,8 @@
 // pipeline.
 //
 // The multi-rate loop was rebuilt from a hand-rolled divider loop onto the
-// platform Scheduler (and the open-loop sense path onto the batched DSP
-// kernels). These goldens were captured from the pre-refactor monolithic
+// platform Scheduler (and the open-loop sense path went through the batched
+// DSP kernels and back to the sample-serial step). These goldens were captured from the pre-refactor monolithic
 // loops and pin the refactor to the bit: every scenario below must produce
 // the exact same doubles, sample for sample, forever. If an intentional
 // numerical change is ever made, re-capture with tools/golden_capture.
@@ -79,8 +79,9 @@ TEST(GoldenTraces, FullFidelityWithSafetyAndMcu) {
 }
 
 TEST(GoldenTraces, IdealOpenLoopBatchedPath) {
-  // Open loop with no per-sample observers — this scenario takes the batched
-  // block-DSP path and must still match the scalar-loop golden exactly.
+  // Open loop with no per-sample observers — the configuration that once
+  // took a batched block-DSP path; the sample-serial path must still match
+  // the golden captured from the scalar loop exactly.
   auto cfg = core::default_gyro_system(core::Fidelity::Ideal);
   cfg.sense.mode = core::SenseMode::OpenLoop;
   core::GyroSystem sys(cfg);

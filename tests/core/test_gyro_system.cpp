@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "common/math.hpp"
 #include "common/spectrum.hpp"
 #include "core/calibration.hpp"
 #include "core/gyro_system.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 
 namespace ascp::core {
 namespace {
@@ -209,6 +214,66 @@ TEST(GyroSystem, RespondsToRateStep) {
   const double before = o[static_cast<std::size_t>(0.03 * 1875)];
   const double after = tail(o);
   EXPECT_GT(std::abs(after - before), 0.05);  // ≈ 100 °/s · 1.2 mV raw
+}
+
+// Every DSP-rate stage is registered at the ADC rate on the SAR conversion
+// phase, so it fires once per DSP sample, with every optional observer
+// attached, across a run() split at a tick that is not a multiple of
+// adc_div.
+TEST(GyroSystem, DspRateTasksFireOncePerAdcSample) {
+  struct CountingProbe : sensor::Probe {
+    long post_adc = 0;
+    void on_frame(const sensor::ProbeFrame& f) override {
+      if (f.point == sensor::ProbePoint::PostAdc) ++post_adc;
+    }
+  };
+  const std::vector<std::string> dsp_rate = {"fault_campaign", "dsp",   "supervisor",
+                                             "obs_events",     "trace", "output"};
+  for (const Fidelity fid : {Fidelity::Full, Fidelity::Ideal}) {
+    SCOPED_TRACE(fid == Fidelity::Full ? "Full" : "Ideal");
+    auto cfg = default_gyro_system(fid);
+    cfg.with_safety = true;
+    GyroSystem sys(cfg);
+    sys.power_on(3);
+    obs::MetricRegistry metrics;
+    obs::EventLog events;
+    obs::TaskProfiler tasks;
+    sys.set_observability({&metrics, &events, &tasks, nullptr, nullptr, nullptr});
+    safety::FaultCampaign campaign;
+    sys.set_fault_campaign(&campaign);
+    TraceRecorder trace;
+    sys.set_trace(&trace);
+    CountingProbe probe;
+    sys.set_probe(&probe);
+
+    const long div = cfg.adc_div;
+    std::map<std::string, std::pair<long, long>> graph;
+    for (const auto& t : sys.schedule_tasks()) graph[t.name] = {t.divider, t.phase};
+    for (const auto& name : dsp_rate) {
+      ASSERT_TRUE(graph.count(name)) << name;
+      EXPECT_EQ(graph[name], std::make_pair(div, div - 1)) << name;
+    }
+    if (fid == Fidelity::Ideal) EXPECT_EQ(graph["adc_ideal"], std::make_pair(div, div - 1));
+    EXPECT_EQ(graph["analog"], std::make_pair(1L, 0L));
+    EXPECT_EQ(graph["probe"], std::make_pair(1L, 0L));
+
+    const long ticks = 3 * div + 3 + 250 * div;
+    for (const long n : {3 * div + 3, 250 * div})
+      sys.run(sensor::Profile::constant(0.0), sensor::Profile::constant(25.0),
+              static_cast<double>(n) / cfg.analog_fs, nullptr);
+
+    // The profiler keeps one row per (name, divider, phase); a resumed run
+    // re-registers at the phase its tick origin needs, so sum by name.
+    std::map<std::string, std::uint64_t> calls;
+    for (const auto& t : tasks.stats()) calls[t.name] += t.invocations;
+    const std::uint64_t samples = static_cast<std::uint64_t>(ticks / div);
+    for (const auto& name : dsp_rate) EXPECT_EQ(calls[name], samples) << name;
+    EXPECT_EQ(calls["analog"], static_cast<std::uint64_t>(ticks));
+    EXPECT_EQ(sys.dsp_samples(), ticks / div);
+    EXPECT_DOUBLE_EQ(metrics.snapshot().counter_value("gyro.dsp_samples"),
+                     static_cast<double>(samples));
+    EXPECT_EQ(probe.post_adc, ticks / div);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Block-kernel bit-exactness: every *_block variant must reproduce the
-// per-sample path to the bit, for any block partitioning. The engine's
-// batched hot path leans on this equivalence — a single ULP of drift here
-// breaks the farm's cross-thread determinism guarantee downstream.
+// per-sample path to the bit, for any block partitioning — a single ULP of
+// drift here would make a block caller diverge from the engine's
+// sample-serial stream.
 #include <gtest/gtest.h>
 
 #include <cstddef>

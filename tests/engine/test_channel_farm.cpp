@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "platform/engine/channel_farm.hpp"
+#include "platform/engine/worker_pool.hpp"
 #include "safety/fault_injection.hpp"
 #include "sensor/stimulus_source.hpp"
 
@@ -305,6 +306,36 @@ TEST(FarmStimulus, RecordedChannelsBitIdenticalAcrossThreadCounts) {
 
   for (std::size_t i = 0; i < f1.size(); ++i)
     EXPECT_EQ(f1.channel(i).output_hash(), f4.channel(i).output_hash()) << i;
+}
+
+// The shared executor under the farm and the fleet: every item runs exactly
+// once per batch on a valid worker index, and a body exception thrown on a
+// worker thread reaches the caller after the batch instead of ending the
+// program; the pool stays usable afterwards.
+TEST(WorkerPool, RunsEveryItemOnceAndForwardsBodyExceptions) {
+  for (const unsigned workers : {1u, 3u}) {
+    WorkerPool pool(workers);
+    ASSERT_EQ(pool.workers(), workers);
+    constexpr std::size_t kItems = 64;
+    std::vector<std::atomic<int>> hits(kItems);
+    std::atomic<bool> bad_worker{false};
+    for (int batch = 0; batch < 3; ++batch)
+      pool.run(kItems, [&](std::size_t i, unsigned w) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (w >= pool.workers()) bad_worker = true;
+      });
+    for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 3) << i;
+    EXPECT_FALSE(bad_worker.load());
+
+    EXPECT_THROW(pool.run(kItems,
+                          [](std::size_t i, unsigned) {
+                            if (i == 7) throw std::runtime_error("item 7");
+                          }),
+                 std::runtime_error);
+    std::atomic<int> ran{0};
+    pool.run(kItems, [&](std::size_t, unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(ran.load(), static_cast<int>(kItems));
+  }
 }
 
 }  // namespace

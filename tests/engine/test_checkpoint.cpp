@@ -15,6 +15,7 @@
 
 #include "conformance/oracle.hpp"
 #include "conformance/scenario.hpp"
+#include "core/gyro_system.hpp"
 #include "platform/engine/channel_farm.hpp"
 #include "platform/engine/checkpoint.hpp"
 #include "platform/engine/conditioning_channel.hpp"
@@ -45,28 +46,33 @@ class CorpusCheckpoint : public testing::TestWithParam<std::string> {};
 
 // The core bit-exactness proof: run to 40%, snapshot, restore into a fresh
 // channel built from the same config, finish — the resumed run's stream
-// fingerprint must equal the straight-through run's.
+// fingerprint must equal the straight-through run's. A second split lands
+// mid conversion cycle (tick ≡ 3 mod adc_div), so the resumed run must pick
+// up the DSP-rate phase from the restored tick count.
 TEST_P(CorpusCheckpoint, ResumeAtKBitExactWithStraightRun) {
   const auto scenario = conformance::load_scenario(GetParam());
   const ChannelConfig cfg = conformance::channel_config(scenario);
   const long total = scenario_ticks(cfg, scenario.duration_s);
-  const long split = total * 2 / 5;
 
   ConditioningChannel straight(cfg);
   straight.advance(total);
+  const long div = straight.gyro() ? straight.gyro()->config().adc_div : 8;
 
-  ConditioningChannel first(cfg);
-  first.advance(split);
-  const std::vector<std::uint8_t> image = first.snapshot();
+  for (const long split : {total * 2 / 5, total / 2 - (total / 2) % div + 3}) {
+    SCOPED_TRACE("split at tick " + std::to_string(split));
+    ConditioningChannel first(cfg);
+    first.advance(split);
+    const std::vector<std::uint8_t> image = first.snapshot();
 
-  ConditioningChannel resumed(cfg);
-  resumed.restore(image);
-  ASSERT_EQ(resumed.ticks_advanced(), split);
-  ASSERT_EQ(resumed.output_hash(), first.output_hash());
-  resumed.advance(total - split);
+    ConditioningChannel resumed(cfg);
+    resumed.restore(image);
+    ASSERT_EQ(resumed.ticks_advanced(), split);
+    ASSERT_EQ(resumed.output_hash(), first.output_hash());
+    resumed.advance(total - split);
 
-  EXPECT_EQ(resumed.total_outputs(), straight.total_outputs());
-  EXPECT_EQ(resumed.output_hash(), straight.output_hash());
+    EXPECT_EQ(resumed.total_outputs(), straight.total_outputs());
+    EXPECT_EQ(resumed.output_hash(), straight.output_hash());
+  }
 }
 
 // Snapshot must not perturb the donor: the snapshotted channel finishing its
